@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 from .fourier import fft2, ifft2
 from .nifti import Volume
 from .seeding import derive_seed
@@ -207,25 +207,35 @@ def write_sidecar(path, spec: ArtifactSpec) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_SIDECAR_FIELDS = {
+    "kind": str, "seed": int, "noise_std": float, "bias_order": int,
+    "bias_coeffs": lambda v: np.array([float(c) for c in v.split(",")]),
+    "ghost_count": int, "ghost_axis": str, "ghost_intensity": float,
+}
+
+
 def read_sidecar(path) -> ArtifactSpec:
+    """Parse a sidecar written by :func:`write_sidecar`; unknown keys are ignored."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: undecodable text ({exc.reason})") from None
     kv: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                key, _, value = line.partition("=")
-                kv[key] = value
-    spec = ArtifactSpec(kind=kv["kind"], seed=int(kv["seed"]))
-    if "noise_std" in kv:
-        spec.noise_std = float(kv["noise_std"])
-    if "bias_order" in kv:
-        spec.bias_order = int(kv["bias_order"])
-    if "bias_coeffs" in kv:
-        spec.bias_coeffs = np.array([float(v) for v in kv["bias_coeffs"].split(",")])
-    if "ghost_count" in kv:
-        spec.ghost_count = int(kv["ghost_count"])
-    if "ghost_axis" in kv:
-        spec.ghost_axis = kv["ghost_axis"]
-    if "ghost_intensity" in kv:
-        spec.ghost_intensity = float(kv["ghost_intensity"])
-    return spec
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            kv[key] = value
+    for key in ("kind", "seed"):
+        if key not in kv:
+            raise DataFormatError(f"{path}: missing key '{key}'")
+    fields = {}
+    for key, parse in _SIDECAR_FIELDS.items():
+        if key in kv:
+            try:
+                fields[key] = parse(kv[key])
+            except ValueError:
+                raise DataFormatError(f"{path}: key '{key}' has invalid value "
+                                      f"{kv[key]!r}") from None
+    return ArtifactSpec(**fields)

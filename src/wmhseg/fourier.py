@@ -1,10 +1,9 @@
 """2D discrete Fourier transforms for k-space manipulation.
 
 Normalization convention: ``fft2`` is unscaled, ``ifft2`` divides by the
-total number of samples, so ``ifft2(fft2(x)) == x``. Power-of-two lengths
-use an iterative radix-2 Cooley-Tukey; every other length goes through
-Bluestein's chirp-z algorithm (which reduces to power-of-two FFTs), so any
-size is supported. All arithmetic is complex128.
+total number of samples, so ``ifft2(fft2(x)) == x``. Both run on
+``numpy.fft`` (pocketfft), which handles every size; all arithmetic is
+complex128.
 """
 
 from __future__ import annotations
@@ -12,70 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Unscaled DFT along the last axis; length must be a power of two."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    a = a[..., _bit_reverse_indices(n)]
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        v = a.reshape(a.shape[:-1] + (n // m, m))
-        t = v[..., half:] * tw
-        upper = v[..., :half] - t
-        v[..., :half] += t
-        v[..., half:] = upper
-        m *= 2
-    return a
-
-
-def _fft_bluestein(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Unscaled DFT along the last axis for arbitrary length."""
-    n = a.shape[-1]
-    k = np.arange(n)
-    # exponent of the chirp is pi*k^2/n; reduce k^2 mod 2n to keep the
-    # argument small and the phase exact for large n
-    expo = (k * k) % (2 * n)
-    sign = 1.0 if inverse else -1.0
-    chirp = np.exp(sign * 1j * np.pi * expo / n)
-    m = 1 << (2 * n - 1).bit_length()
-    fa = np.zeros(a.shape[:-1] + (m,), dtype=np.complex128)
-    fa[..., :n] = a * chirp
-    fb = np.zeros(m, dtype=np.complex128)
-    fb[:n] = np.conj(chirp)
-    fb[m - n + 1:] = np.conj(chirp[1:][::-1])
-    conv = _fft_pow2(_fft_pow2(fa, False) * _fft_pow2(fb, False), True) / m
-    return conv[..., :n] * chirp
-
-
-def _fft_last_axis(a: np.ndarray, inverse: bool) -> np.ndarray:
-    n = a.shape[-1]
-    if n & (n - 1) == 0:
-        return _fft_pow2(a, inverse)
-    return _fft_bluestein(a, inverse)
-
-
 def fft2(x: np.ndarray) -> np.ndarray:
     """Unscaled 2D DFT of the trailing two axes."""
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim < 2:
         raise ValueError(f"fft2 expects a >=2D array, got shape {a.shape}")
-    a = _fft_last_axis(a, inverse=False)
-    a = _fft_last_axis(a.swapaxes(-1, -2), inverse=False).swapaxes(-1, -2)
-    return a
+    return np.fft.fft2(a)
 
 
 def ifft2(x: np.ndarray) -> np.ndarray:
@@ -83,7 +24,4 @@ def ifft2(x: np.ndarray) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim < 2:
         raise ValueError(f"ifft2 expects a >=2D array, got shape {a.shape}")
-    h, w = a.shape[-2:]
-    a = _fft_last_axis(a, inverse=True)
-    a = _fft_last_axis(a.swapaxes(-1, -2), inverse=True).swapaxes(-1, -2)
-    return a / (h * w)
+    return np.fft.ifft2(a)

@@ -92,10 +92,6 @@ class ModelConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
-
 
 # ---- parameter registry -----------------------------------------------------
 
@@ -375,33 +371,75 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> Non
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
+class BlobReader:
+    """Bounds-checked cursor over a checkpoint or train-state file.
+
+    Checks the magic and the u32 format version on open; every truncation,
+    undecodable text, corrupt JSON or trailing byte raises a
+    DataFormatError naming the file.
+    """
+
+    def __init__(self, path, magic: bytes, version: int):
+        with open(path, "rb") as fh:
+            self.buf = memoryview(fh.read())
+        self.path, self.off = path, len(magic)
+        if self.buf[:self.off] != magic:
+            raise DataFormatError(f"{path}: bad magic {bytes(self.buf[:self.off])!r}, "
+                                  f"expected {magic!r}")
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise DataFormatError(f"{path}: unsupported format version {found}")
+
+    def take(self, n: int) -> memoryview:
+        if self.off + n > len(self.buf):
+            raise DataFormatError(f"{self.path}: truncated: {n} bytes needed at "
+                                  f"offset {self.off}, file has {len(self.buf)}")
+        self.off += n
+        return self.buf[self.off - n:self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        raw = self.take(n)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{self.path}: invalid UTF-8 at offset "
+                                  f"{self.off - n + exc.start}") from None
+
+    def json(self):
+        (n,) = self.unpack("<I")
+        try:
+            return json.loads(self.text(n))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{self.path}: corrupt JSON header: {exc}") from None
+
+    def name(self) -> str:
+        (n,) = self.unpack("<H")
+        return self.text(n)
+
+    def floats(self, shape) -> np.ndarray:
+        return np.frombuffer(self.take(4 * math.prod(shape)), "<f4").reshape(shape)
+
+    def finish(self) -> None:
+        if self.off != len(self.buf):
+            raise DataFormatError(f"{self.path}: {len(self.buf) - self.off} "
+                                  "trailing bytes after the last entry")
+
+
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"bad checkpoint magic {blob[:4]!r}")
-    version, cfg_len = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}")
-    off = 12
-    config = ModelConfig.from_json(blob[off:off + cfg_len].decode("utf-8"))
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    r = BlobReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    try:
+        config = ModelConfig(**r.json())
+    except (TypeError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: bad model config: {exc}") from None
+    (count,) = r.unpack("<I")
     params: dict[str, Tensor] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        params[name] = Tensor(arr.astype(np.float32), requires_grad=True)
-    if off != len(blob):
-        raise DataFormatError("trailing bytes after last checkpoint parameter")
+        name = r.name()
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        params[name] = Tensor(r.floats(shape).astype(np.float32), requires_grad=True)
+    r.finish()
     return params, config

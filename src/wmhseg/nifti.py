@@ -4,6 +4,8 @@ The parser is self-contained: a 348-byte header (validated magic and size),
 little/big endian detected from the dim[0] in [1,7] heuristic, datatypes
 uint8/int16/int32/float32/float64, scl_slope/scl_inter applied on read when
 slope != 0. ``.nii.gz`` is handled through the stdlib DEFLATE decoder.
+Two-file pairs (magic ``ni1``) are read through their ``.hdr(.gz)`` name,
+with the voxels taken from the sibling ``.img(.gz)``.
 Writing always emits float32, vox_offset 352, magic ``n+1\\0``; write->read
 round-trips are bit-exact for float32 data.
 
@@ -43,7 +45,6 @@ class Volume:
     """A 3D image with voxel spacing in mm and header provenance."""
     data: np.ndarray                 # (x, y, z), float32 or float64
     spacing: tuple[float, float, float]
-    datatype_code: int = 16
     xform_raw: Optional[bytes] = None
 
     def __post_init__(self):
@@ -59,7 +60,7 @@ class Volume:
         return self.data.shape
 
     def with_data(self, data: np.ndarray) -> "Volume":
-        return Volume(data, self.spacing, self.datatype_code, self.xform_raw)
+        return Volume(data, self.spacing, self.xform_raw)
 
 
 def _open_maybe_gz(path, mode: str):
@@ -70,7 +71,7 @@ def _open_maybe_gz(path, mode: str):
 
 
 def read_nifti(path) -> Volume:
-    """Parse a .nii or .nii.gz file into a Volume."""
+    """Parse a .nii(.gz) file, or a .hdr(.gz)/.img(.gz) pair, into a Volume."""
     with _open_maybe_gz(path, "rb") as fh:
         header = fh.read(HEADER_SIZE)
         if len(header) < HEADER_SIZE:
@@ -117,12 +118,13 @@ def read_nifti(path) -> Volume:
         dt = np.dtype(end + _DTYPES[datatype])
         count = nx * ny * nz
         if magic == b"ni1\x00":
-            img_path = str(path)
-            for suffix in (".hdr.gz", ".hdr"):
-                if img_path.endswith(suffix):
-                    img_path = img_path[: -len(suffix)] + \
-                        (".img.gz" if suffix.endswith(".gz") else ".img")
-                    break
+            # two-file pair: the voxels live in the sibling .img(.gz)
+            name = str(path)
+            suffix = next((s for s in (".hdr", ".hdr.gz") if name.endswith(s)), None)
+            if suffix is None:
+                raise DataFormatError(f"{path}: 'ni1' magic marks a .hdr/.img pair "
+                                      "header, but the name does not end in .hdr")
+            img_path = name[: -len(suffix)] + suffix.replace(".hdr", ".img")
             with _open_maybe_gz(img_path, "rb") as img_fh:
                 img_fh.seek(int(vox_offset))
                 raw = img_fh.read(count * dt.itemsize)
@@ -141,7 +143,7 @@ def read_nifti(path) -> Volume:
         data = data * out_dtype(slope) + out_dtype(inter)
 
     spacing = tuple(float(p) for p in pixdim[1:4])
-    return Volume(data=data, spacing=spacing, datatype_code=datatype,
+    return Volume(data=data, spacing=spacing,
                   xform_raw=header[_XFORM_SPAN[0]:_XFORM_SPAN[1]])
 
 

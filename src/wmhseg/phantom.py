@@ -23,7 +23,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .artifacts import corrupt_scan, write_sidecar
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 from .nifti import Volume, write_nifti
 from .seeding import derive_seed
 
@@ -41,6 +41,9 @@ class PhantomConfig:
     intensity_jitter: float = 0.03
     smoothing_sigma_mm: float = 0.8
     spacing: tuple[float, float, float] = (1.0, 1.0, 3.0)
+
+
+_MANIFEST_COLUMNS = ("path", "role", "seed", "source_id")
 
 
 @dataclass
@@ -153,17 +156,31 @@ def generate_dataset(n: int, master_seed: int, out_dir,
 def write_manifest(path, entries: list[ManifestEntry]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "role", "seed", "source_id"])
+        writer.writerow(_MANIFEST_COLUMNS)
         for e in entries:
             writer.writerow([e.path, e.role, e.seed, e.source_id])
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: undecodable text ({exc.reason})") from None
     entries = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(ManifestEntry(row["path"], row["role"],
-                                         int(row["seed"]), row["source_id"]))
+    reader = csv.DictReader(lines)
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        missing = [c for c in _MANIFEST_COLUMNS if row.get(c) is None]
+        if missing:
+            raise DataFormatError(f"{where}: missing column '{missing[0]}'")
+        try:
+            seed = int(row["seed"])
+        except ValueError:
+            raise DataFormatError(f"{where}: seed {row['seed']!r} is not an "
+                                  "integer") from None
+        entries.append(ManifestEntry(row["path"], row["role"], seed,
+                                     row["source_id"]))
     return entries
 
 

@@ -119,9 +119,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -144,14 +141,12 @@ class Tensor:
 
     # ---- backward -------------------------------------------------------
 
-    def backward(self, seed: Optional[np.ndarray] = None,
-                 free_graph: bool = True) -> None:
+    def backward(self, seed: Optional[np.ndarray] = None) -> None:
         """Accumulate gradients of self w.r.t. every tracked ancestor.
 
         ``seed`` may be omitted only for scalar outputs (implied seed 1).
-        The graph is released afterwards unless ``free_graph=False``;
-        intermediate gradients are dropped as soon as they are consumed and
-        only leaf gradients survive.
+        The graph is released afterwards; intermediate gradients are dropped
+        as soon as they are consumed and only leaf gradients survive.
         """
         if seed is None:
             if self.size != 1:
@@ -166,10 +161,9 @@ class Tensor:
         self._accumulate(seed)
         tape = GradTape.from_output(self)
         tape.replay()
-        if free_graph:
-            for node in tape.nodes:
-                node._backward = None
-                node._parents = ()
+        for node in tape.nodes:
+            node._backward = None
+            node._parents = ()
 
     # ---- arithmetic -----------------------------------------------------
 

@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NumericsError, ValidationError
+from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
-from .model import (ModelConfig, init_parameters, load_checkpoint, model_forward,
-                    save_checkpoint)
+from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
+                    model_forward, save_checkpoint)
 from .nifti import crop_pad_slice, make_slice_batch, read_nifti, unpreprocess_mask
 from .phantom import ManifestEntry, manifest_dir, read_manifest
 from .seeding import derive_seed
@@ -412,33 +412,22 @@ def save_train_state(path, state: TrainState, params: dict[str, Tensor]) -> None
 
 
 def load_train_state(path, params: dict[str, Tensor]) -> TrainState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != STATE_MAGIC:
-        raise ValidationError(f"bad train-state magic {blob[:4]!r}")
-    version, meta_len = struct.unpack_from("<II", blob, 4)
-    if version != STATE_VERSION:
-        raise ValidationError(f"unsupported train-state version {version}")
-    off = 12
-    meta = json.loads(blob[off:off + meta_len].decode("utf-8"))
-    off += meta_len
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    state = TrainState(epoch=meta["epoch"], step=meta["step"], lr=meta["lr"],
-                       best_val=meta["best_val"], bad_epochs=meta["bad_epochs"])
-    if meta["rng_state"] is not None:
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = meta["rng_state"]
-        state.rng = rng
+    r = BlobReader(path, STATE_MAGIC, STATE_VERSION)
+    meta = r.json()
+    try:
+        state = TrainState(epoch=meta["epoch"], step=meta["step"], lr=meta["lr"],
+                           best_val=meta["best_val"], bad_epochs=meta["bad_epochs"])
+        if meta["rng_state"] is not None:
+            state.rng = np.random.default_rng(0)
+            state.rng.bit_generator.state = meta["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad train-state header: {exc!r}") from None
+    (count,) = r.unpack("<I")
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        shape = params[name].shape
-        n = int(np.prod(shape)) if shape else 1
-        state.m[name] = np.frombuffer(blob, "<f4", n, off).reshape(shape).copy()
-        off += 4 * n
-        state.v[name] = np.frombuffer(blob, "<f4", n, off).reshape(shape).copy()
-        off += 4 * n
+        name = r.name()
+        if name not in params:
+            raise DataFormatError(f"{path}: moments for unknown parameter '{name}'")
+        state.m[name] = r.floats(params[name].shape).copy()
+        state.v[name] = r.floats(params[name].shape).copy()
+    r.finish()
     return state

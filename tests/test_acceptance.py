@@ -305,6 +305,7 @@ def test_criterion_6_nifti_roundtrip(rng, tmp_path):
            "float32 volumes; malformed magic and header size rejected")
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_training(main_run, harness_dataset):
     result, elapsed = main_run
     metrics, by_kind, _ = _dice_summary(result, harness_dataset)
@@ -317,6 +318,7 @@ def test_criterion_7_desk_scale_training(main_run, harness_dataset):
            f"{elapsed / 60:.1f} min (<= 30 min)")
 
 
+@pytest.mark.slow
 def test_criterion_8_robustness_and_volumetry(main_run, ablation_run,
                                               harness_dataset):
     result, _ = main_run

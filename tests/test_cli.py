@@ -2,6 +2,7 @@
 
 import csv
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ def dataset(tmp_path_factory, cfg_file):
                  "--out", str(out)])
     assert code == EXIT_OK
     return out
+
+
+def assert_one_line_data_error(code, capsys, *needles):
+    """Exit 2 with a single stderr line that names every needle."""
+    assert code == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    for needle in needles:
+        assert needle in lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +112,32 @@ class TestAugmentCommand:
                      "--out", str(second)]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("text,needle", [
+        (b"seed=3\nghost_count=2\nghost_axis=row\nghost_intensity=0.5\n", "'kind'"),
+        (b"kind=noise\nseed=abc\nnoise_std=0.05\n", "'seed'"),
+        (b"kind=noise\nseed=3\nnoise_std=0.05\n\xff\n", "undecodable"),
+    ])
+    def test_malformed_sidecar_data_error(self, dataset, tmp_path, capsys,
+                                          text, needle):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(text)
+        code = main(["augment", "--in", str(dataset / "phantom000.nii"),
+                     "--replay", str(spec), "--out", str(tmp_path / "o.nii")])
+        assert_one_line_data_error(code, capsys, str(spec), needle)
+
+    def test_ni1_magic_in_single_file_data_error(self, dataset, tmp_path,
+                                                 capsys):
+        # a two-file header (ni1, voxels at offset 0 of the .img) under a
+        # single-file name must not be read with its header bytes as voxels
+        blob = bytearray((dataset / "phantom000.nii").read_bytes())
+        blob[344:348] = b"ni1\x00"
+        struct.pack_into("<f", blob, 108, 0.0)
+        src = tmp_path / "pair_header.nii"
+        src.write_bytes(bytes(blob))
+        code = main(["augment", "--in", str(src), "--kind", "noise",
+                     "--out", str(tmp_path / "o.nii")])
+        assert_one_line_data_error(code, capsys, str(src), "ni1")
+
 
 class TestTrainCommand:
     def test_smoke_exit_zero(self, checkpoint):
@@ -167,6 +203,17 @@ class TestSegmentCommand:
                      "--out", str(tmp_path / "o.nii")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("keep", [0.5, 20])
+    def test_truncated_checkpoint_data_error(self, dataset, checkpoint,
+                                             tmp_path, capsys, keep):
+        blob = checkpoint.read_bytes()
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(blob[:int(len(blob) * keep) if keep < 1 else keep])
+        code = main(["segment", "--checkpoint", str(bad),
+                     "--in", str(dataset / "phantom000.nii"),
+                     "--out", str(tmp_path / "o.nii")])
+        assert_one_line_data_error(code, capsys, str(bad), "truncated")
+
     def test_garbage_checkpoint_data_error(self, dataset, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -202,6 +249,22 @@ class TestEvaluateCommand:
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5  # 1 held-out source x 5 volumes
+
+    @pytest.mark.parametrize("text,needles", [
+        (b"path,role\nphantom000.nii,clean\n", ("line 2", "'seed'")),
+        (b"path,role,seed,source_id\nphantom000.nii,clean,x7,s0\n",
+         ("line 2", "'x7'")),
+        (b"path,role,seed,source_id\nphantom000.nii,clean,1,s\xff\n",
+         ("undecodable",)),
+    ])
+    def test_malformed_manifest_data_error(self, dataset, checkpoint, tmp_path,
+                                           capsys, text, needles):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(text)
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--manifest", str(manifest),
+                     "--out", str(tmp_path / "m.csv")])
+        assert_one_line_data_error(code, capsys, str(manifest), *needles)
 
 
 class TestThreadCap:

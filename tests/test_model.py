@@ -404,6 +404,29 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("cut", [2, 6, 20, 0.5, -1])
+    def test_truncation_names_file(self, tmp_path, cut):
+        cfg = ModelConfig.tiny()
+        save_checkpoint(tmp_path / "m.ckpt", init_parameters(cfg, 0), cfg)
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(blob[:int(len(blob) * cut) if isinstance(cut, float) else cut])
+        with pytest.raises(DataFormatError, match="cut.ckpt"):
+            load_checkpoint(bad)
+
+    def test_trailing_bytes_and_bad_utf8_rejected(self, tmp_path):
+        cfg = ModelConfig.tiny()
+        save_checkpoint(tmp_path / "m.ckpt", init_parameters(cfg, 0), cfg)
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        (tmp_path / "tail.ckpt").write_bytes(blob + b"\x00")
+        with pytest.raises(DataFormatError, match="trailing"):
+            load_checkpoint(tmp_path / "tail.ckpt")
+        broken = bytearray(blob)
+        broken[12] = 0xFF  # first byte of the JSON config
+        (tmp_path / "utf8.ckpt").write_bytes(bytes(broken))
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_checkpoint(tmp_path / "utf8.ckpt")
+
 
 class TestFullModelGradient:
     def test_tiny_config_finite_difference(self, rng):

@@ -84,6 +84,28 @@ class TestReadNifti:
         with pytest.raises(OSError):
             read_nifti(path)
 
+    @pytest.mark.parametrize("gz", ["", ".gz"])
+    def test_hdr_img_pair_roundtrip(self, tmp_path, gz):
+        data = np.arange(24, dtype=np.float32).reshape((2, 3, 4), order="F")
+        blob = build_nifti_bytes(data, pixdim=(0.5, 2.0, 3.0), magic=b"ni1\x00")
+        header = bytearray(blob[:348])
+        struct.pack_into("<f", header, 108, 0.0)  # voxels start the .img
+        opener = gzip.open if gz else open
+        with opener(tmp_path / f"pair.hdr{gz}", "wb") as fh:
+            fh.write(bytes(header))
+        with opener(tmp_path / f"pair.img{gz}", "wb") as fh:
+            fh.write(blob[352:])
+        vol = read_nifti(tmp_path / f"pair.hdr{gz}")
+        np.testing.assert_array_equal(vol.data, data)
+        assert vol.spacing == (0.5, 2.0, 3.0)
+
+    def test_ni1_magic_needs_hdr_name(self, tmp_path):
+        path = tmp_path / "x.nii"
+        path.write_bytes(build_nifti_bytes(np.zeros((2, 2, 2), np.float32),
+                                           magic=b"ni1\x00"))
+        with pytest.raises(DataFormatError, match="ni1"):
+            read_nifti(path)
+
     def test_big_endian_via_dim_heuristic(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
         path = tmp_path / "be.nii"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import wmhseg.training as training
-from wmhseg.errors import ConfigError, NumericsError, ValidationError
+from wmhseg.errors import (ConfigError, DataFormatError, NumericsError,
+                           ValidationError)
 from wmhseg.model import ModelConfig, init_parameters
 from wmhseg.phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                             manifest_dir, read_manifest)
@@ -282,6 +283,26 @@ class TestTrainStatePersistence:
             np.testing.assert_array_equal(back.v[k], state.v[k])
         np.testing.assert_array_equal(back.rng.standard_normal(5),
                                       state.rng.standard_normal(5))
+
+    def test_corrupt_files_rejected_naming_file(self, tmp_path):
+        params = init_parameters(ModelConfig.tiny(), 0)
+        path = tmp_path / "run.state"
+        save_train_state(path, TrainState(lr=1e-3, rng=np.random.default_rng(1)),
+                         params)
+        blob = path.read_bytes()
+        meta_len = int.from_bytes(blob[8:12], "little")
+        bad_json = bytearray(blob)
+        bad_json[12] = ord("[")
+        broken = [blob[:n] for n in (3, 10, 20, 12 + meta_len + 2,
+                                     len(blob) // 2, len(blob) - 1)]
+        broken += [blob + b"\x00", bytes(bad_json)]
+        for i, data in enumerate(broken):
+            bad = tmp_path / f"bad{i}.state"
+            bad.write_bytes(data)
+            with pytest.raises(DataFormatError, match=f"bad{i}.state"):
+                load_train_state(bad, params)
+        with pytest.raises(DataFormatError, match="unknown parameter"):
+            load_train_state(path, {k: p for k, p in list(params.items())[1:]})
 
 
 class TestEvaluate:

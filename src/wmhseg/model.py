@@ -5,7 +5,9 @@ transformer blocks whose attention shortens the key/value sequence by a
 per-stage reduction factor; a convolutional feed-forward block (depthwise
 3x3) carries positional information. The decoder upsamples the four encoder
 maps U-Net style (bilinear 2x, concatenate skip, 3x3 conv, GELU) and ends
-with a 4x upsample and a 1x1 conv producing one logit channel.
+with a 1x1 conv producing one logit channel, then a 4x bilinear upsample of
+that logit (equal to upsampling first, since both are linear and the
+interpolation rows sum to 1).
 
 Checkpoint container: magic ``WMHS``, u32 format version, JSON-serialized
 config, then per parameter (path, shape, raw little-endian float32 values).
@@ -333,8 +335,8 @@ def decoder_forward(features: list[Tensor], params: dict[str, Tensor],
         d = T.concat([d, skip], axis=1)
         d = T.gelu(T.conv2d(d, params[f"decoder.fuse{j}.weight"],
                             params[f"decoder.fuse{j}.bias"], stride=1, padding=1))
-    d = T.resize_bilinear(d, config.input_size[0], config.input_size[1])
-    return T.conv2d(d, params["decoder.head.weight"], params["decoder.head.bias"])
+    d = T.conv2d(d, params["decoder.head.weight"], params["decoder.head.bias"])
+    return T.resize_bilinear(d, config.input_size[0], config.input_size[1])
 
 
 PROB_EPS = 1e-7
@@ -434,12 +436,21 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
         config = ModelConfig(**r.json())
     except (TypeError, ConfigError) as exc:
         raise DataFormatError(f"{path}: bad model config: {exc}") from None
+    specs = {name: shape for name, shape, _ in parameter_specs(config)}
     (count,) = r.unpack("<I")
     params: dict[str, Tensor] = {}
     for _ in range(count):
         name = r.name()
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
+        if name not in specs or name in params:
+            raise DataFormatError(f"{path}: unexpected parameter '{name}'")
+        if shape != specs[name]:
+            raise DataFormatError(f"{path}: parameter '{name}' has shape {shape}, "
+                                  f"config expects {specs[name]}")
         params[name] = Tensor(r.floats(shape).astype(np.float32), requires_grad=True)
     r.finish()
+    missing = [name for name in specs if name not in params]
+    if missing:
+        raise DataFormatError(f"{path}: missing parameter '{missing[0]}'")
     return params, config

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .artifacts import corrupt_scan, write_sidecar
+from .artifacts import KINDS, corrupt_scan, write_sidecar
 from .errors import DataFormatError, ValidationError
 from .nifti import Volume, write_nifti
 from .seeding import derive_seed
@@ -44,6 +44,7 @@ class PhantomConfig:
 
 
 _MANIFEST_COLUMNS = ("path", "role", "seed", "source_id")
+_MANIFEST_ROLES = ("clean",) + KINDS + ("mask",)
 
 
 @dataclass
@@ -174,6 +175,9 @@ def read_manifest(path) -> list[ManifestEntry]:
         missing = [c for c in _MANIFEST_COLUMNS if row.get(c) is None]
         if missing:
             raise DataFormatError(f"{where}: missing column '{missing[0]}'")
+        if row["role"] not in _MANIFEST_ROLES:
+            raise DataFormatError(f"{where}: unknown role {row['role']!r}, expected "
+                                  f"one of {', '.join(_MANIFEST_ROLES)}")
         try:
             seed = int(row["seed"])
         except ValueError:

@@ -405,7 +405,10 @@ def gelu(x: Tensor) -> Tensor:
         def backward():
             a = x.data
             pdf = np.exp(-0.5 * a * a) * inv_sqrt2pi
-            x._accumulate(out.grad * (cdf + a * pdf), owned=True)
+            gx = out.grad * (cdf + a * pdf)
+            # flush subnormals: they make every later matmul on them slow
+            gx[np.abs(gx) < np.finfo(gx.dtype).tiny] = 0.0
+            x._accumulate(gx, owned=True)
         out._backward = backward
     return out
 
@@ -567,7 +570,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     for i in range(kh):
                         for j in range(kw):
                             win = xpad[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw]
-                            dw[:, 0, i, j] = (g * win).sum(axis=(0, 2, 3))
+                            dw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, win)
                     weight._accumulate(dw, owned=True)
                 if x.requires_grad:
                     dxp = np.zeros_like(xpad)
@@ -587,7 +590,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                             .reshape(b, groups, cg * kh * kw, hout * wout)
                     dw = np.matmul(gg, np.swapaxes(wcols, -1, -2)).sum(axis=0)
                     weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
+                if x.requires_grad and sh == sw == 1 and groups == 1 \
+                        and ph < kh and pw < kw:
+                    # transposed conv: correlate g, padded by k-1-p, with the
+                    # flipped kernel whose in/out channels are swapped
+                    qh, qw = kh - 1 - ph, kw - 1 - pw
+                    gp = np.pad(g, ((0, 0), (0, 0), (qh, qh), (qw, qw))) \
+                        if (qh or qw) else g
+                    wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                        .reshape(cin, cout * kh * kw)
+                    gcols = _im2col(gp, kh, kw, 1, 1, h, w) \
+                        .reshape(b, cout * kh * kw, h * w)
+                    dx = np.matmul(wt[None], gcols).reshape(x.shape)
+                    x._accumulate(dx, owned=True)
+                elif x.requires_grad:
                     wg = weight.data.reshape(groups, cout // groups, cg * kh * kw)
                     dcols = np.matmul(np.swapaxes(wg, -1, -2)[None], gg)
                     dcols = dcols.reshape(b, cin, kh, kw, hout, wout)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from wmhseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from wmhseg.model import load_checkpoint, save_checkpoint
 from wmhseg.nifti import read_nifti
+from wmhseg.tensor import Tensor
 
 PHANTOM_CFG = ("size=48,48,4\n"
                "num_lesions_range=2,4\n"
@@ -214,6 +216,25 @@ class TestSegmentCommand:
                      "--out", str(tmp_path / "o.nii")])
         assert_one_line_data_error(code, capsys, str(bad), "truncated")
 
+    @pytest.mark.parametrize("edit,needles", [
+        ("narrow", ("'stage1.embed.weight'", "(3, 1, 7, 7)")),
+        ("drop", ("missing", "'decoder.head.bias'")),
+    ])
+    def test_checkpoint_not_matching_config_data_error(
+            self, dataset, checkpoint, tmp_path, capsys, edit, needles):
+        params, cfg = load_checkpoint(checkpoint)
+        if edit == "narrow":
+            params["stage1.embed.weight"] = \
+                Tensor(params["stage1.embed.weight"].data[:3])
+        else:
+            del params["decoder.head.bias"]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, cfg)
+        code = main(["segment", "--checkpoint", str(bad),
+                     "--in", str(dataset / "phantom000.nii"),
+                     "--out", str(tmp_path / "o.nii")])
+        assert_one_line_data_error(code, capsys, str(bad), *needles)
+
     def test_garbage_checkpoint_data_error(self, dataset, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -256,6 +277,8 @@ class TestEvaluateCommand:
          ("line 2", "'x7'")),
         (b"path,role,seed,source_id\nphantom000.nii,clean,1,s\xff\n",
          ("undecodable",)),
+        (b"path,role,seed,source_id\nphantom000.nii,clena,1,s0\n",
+         ("line 2", "'clena'")),
     ])
     def test_malformed_manifest_data_error(self, dataset, checkpoint, tmp_path,
                                            capsys, text, needles):

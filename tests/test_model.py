@@ -259,6 +259,23 @@ class TestEncoderDecoder:
         # constant, so logits are one constant everywhere
         assert np.ptp(logits.data) < 1e-6
 
+    def test_head_before_upsample_equals_upsample_before_head(self, rng):
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3, dtype=np.float64)
+        x = Tensor(rng.uniform(0, 1, (2, 1, 32, 32)), dtype=np.float64)
+        feats = encoder_forward(x, params, cfg)
+        got = decoder_forward(feats, params, cfg).data
+        d = feats[3]
+        for j, si in enumerate((2, 1, 0)):
+            d = T.resize_bilinear(d, *feats[si].shape[2:])
+            d = T.gelu(T.conv2d(T.concat([d, feats[si]], axis=1),
+                                params[f"decoder.fuse{j}.weight"],
+                                params[f"decoder.fuse{j}.bias"], padding=1))
+        d = T.resize_bilinear(d, *cfg.input_size)
+        want = T.conv2d(d, params["decoder.head.weight"],
+                        params["decoder.head.bias"]).data
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
     def test_mismatched_features_rejected(self):
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 0)
@@ -426,6 +443,17 @@ class TestCheckpoint:
         (tmp_path / "utf8.ckpt").write_bytes(bytes(broken))
         with pytest.raises(DataFormatError, match="UTF-8"):
             load_checkpoint(tmp_path / "utf8.ckpt")
+
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        # wrong shapes and missing parameters are checked through the CLI
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 0)
+        params["stage5.weight"] = Tensor(np.zeros((2, 2), np.float32))
+        save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        with pytest.raises(DataFormatError,
+                           match="m.ckpt: unexpected parameter 'stage5.weight'"):
+            load_checkpoint(tmp_path / "m.ckpt")
 
 
 class TestFullModelGradient:

@@ -144,6 +144,21 @@ class TestConv2d:
         check_grad(lambda v: T.conv2d(v, wd, None, padding=1, groups=3),
                    rng.standard_normal((2, 3, 5, 5)), rng)
 
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("cin,cout", [(5, 2), (2, 5)])
+    def test_stride1_input_gradient(self, rng, padding, cin, cout):
+        # stride-1 dense convs take the transposed-conv input gradient,
+        # except when padding >= kernel size (padding 3 here)
+        w = Tensor(rng.standard_normal((cout, cin, 3, 3)), dtype=np.float64)
+        b = Tensor(rng.standard_normal(cout), dtype=np.float64)
+        check_grad(lambda x: T.conv2d(x, w, b, stride=1, padding=padding),
+                   rng.standard_normal((2, cin, 5, 7)), rng)
+
+    def test_depthwise_weight_gradient(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5, 6)), dtype=np.float64)
+        check_grad(lambda v: T.conv2d(x, v, None, padding=1, groups=3),
+                   rng.standard_normal((3, 1, 3, 3)), rng)
+
 
 # ---- softmax / layer_norm ----------------------------------------------------
 
@@ -247,6 +262,22 @@ class TestGelu:
 
     def test_gradient(self, rng):
         check_grad(lambda x: T.gelu(x), rng.standard_normal((4, 5)), rng)
+
+    def test_float32_backward_flushes_subnormals(self):
+        xs = np.linspace(-20.0, -12.0, 161)
+        x = Tensor(xs.astype(np.float32), requires_grad=True)
+        T.gelu(x).backward(np.full(xs.shape, 1e-6, np.float32))
+        tiny = np.finfo(np.float32).tiny
+        assert not ((x.grad != 0) & (np.abs(x.grad) < tiny)).any()
+        # float64 oracle: 1e-6 * (Phi(x) + x * phi(x))
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in xs])
+        want = 1e-6 * (cdf + xs * np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi))
+        normal = np.abs(want) >= tiny
+        assert normal.any() and not normal.all()
+        # no grid point sits at the flush threshold, where rounding decides
+        assert (np.abs(np.log(np.abs(want) / tiny)) > 0.05).all()
+        np.testing.assert_allclose(x.grad[normal], want[normal], rtol=1e-2)
+        assert (x.grad[~normal] == 0).all()
 
 
 class TestSigmoid:

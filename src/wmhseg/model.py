@@ -11,7 +11,7 @@ interpolation rows sum to 1).
 
 Checkpoint container: magic ``WMHS``, u32 format version, JSON-serialized
 config, then per parameter (path, shape, raw little-endian float32 values).
-Round-trips are bit-exact.
+Round-trips are bit-exact; a save replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataFormatError, ShapeError
+from .fileio import atomic_write
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WMHS"
@@ -359,7 +360,7 @@ def model_forward(image: Tensor, params: dict[str, Tensor],
 
 def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> None:
     cfg = config.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg)))
         fh.write(cfg)

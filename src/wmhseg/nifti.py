@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataFormatError, UnsupportedDataTypeError, ValidationError
+from .fileio import atomic_write
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -148,7 +149,10 @@ def read_nifti(path) -> Volume:
 
 
 def write_nifti(vol: Volume, path) -> None:
-    """Write a Volume as single-file float32 NIfTI-1 (gzipped if path ends .gz)."""
+    """Write a Volume as single-file float32 NIfTI-1 (gzipped if path ends .gz).
+
+    The file is replaced atomically: a failed write leaves the old one.
+    """
     data = np.asarray(vol.data, dtype=np.float32)
     nx, ny, nz = data.shape
 
@@ -165,13 +169,12 @@ def write_nifti(vol: Volume, path) -> None:
     header[344:348] = b"n+1\x00"
 
     payload = bytes(header) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
-    if str(path).endswith(".gz"):
-        # filename="" and mtime=0 keep the compressed bytes deterministic
-        with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
+        if str(path).endswith(".gz"):
+            # filename="" and mtime=0 keep the compressed bytes deterministic
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
                 gz.write(payload)
-    else:
-        with open(path, "wb") as fh:
+        else:
             fh.write(payload)
 
 

@@ -392,14 +392,61 @@ def sigmoid(x: Tensor) -> Tensor:
     return _unary(x, fn, "sigmoid", lambda a, y, g: g * y * (1.0 - y))
 
 
+# float32 erf(t) ~ t*P(t^2)/Q(t^2) on t clamped to [-4, 4], beyond which
+# erf rounds to +-1 in float32 (Eigen's generic_fast_erf_float coefficients,
+# highest power first); max abs error 4.4e-7 against the float64 erf
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+_ERF_BLOCK = 1 << 15  # elements per pass: the temporaries stay in L1/L2
+
+
+def _normal_cdf32(a: np.ndarray) -> np.ndarray:
+    """Phi(a) = 0.5 * (1 + erf(a / sqrt 2)) for float32 ``a``, in blocks."""
+    cdf = np.empty(a.shape, dtype=np.float32)
+    af, cf = a.reshape(-1), cdf.reshape(-1)
+    m = min(_ERF_BLOCK, af.size)
+    s_buf, p_buf, q_buf = (np.empty(m, dtype=np.float32) for _ in range(3))
+    for lo in range(0, af.size, _ERF_BLOCK):
+        t = cf[lo:lo + _ERF_BLOCK]
+        s, p, q = s_buf[:t.size], p_buf[:t.size], q_buf[:t.size]
+        np.multiply(af[lo:lo + _ERF_BLOCK], 1.0 / math.sqrt(2.0), out=t)
+        np.clip(t, -4.0, 4.0, out=t)
+        np.multiply(t, t, out=s)
+        np.multiply(s, _ERF_P[0], out=p)
+        for c in _ERF_P[1:-1]:
+            p += c
+            p *= s
+        p += _ERF_P[-1]
+        p *= t
+        np.multiply(s, _ERF_Q[0], out=q)
+        for c in _ERF_Q[1:-1]:
+            q += c
+            q *= s
+        q += _ERF_Q[-1]
+        np.divide(p, q, out=t)
+        np.clip(t, -1.0, 1.0, out=t)  # the ratio exceeds 1 by 2.4e-7 on 3.6-4
+        t += 1.0
+        t *= 0.5
+    return cdf
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit: x * Phi(x) with the erf form."""
-    inv_sqrt2 = np.asarray(1.0 / math.sqrt(2.0), dtype=x.dtype)
+    """Gaussian error linear unit x * Phi(x) in the erf form (not tanh).
+
+    float32 takes erf from the rational approximation above (GELU within
+    1.4e-6 of float64); float64 keeps the exact ``scipy.special.erf``.
+    """
     inv_sqrt2pi = np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=x.dtype)
-    cdf = x.data * inv_sqrt2
-    _erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    if x.dtype == np.float32:
+        cdf = _normal_cdf32(x.data)
+    else:
+        cdf = x.data * (1.0 / math.sqrt(2.0))
+        _erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
     out = _make(x.data * cdf, (x,), "gelu")
     if out.requires_grad:
         def backward():
@@ -481,6 +528,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2D cross-correlation with zero padding and optional channel groups.
 
     x: [B,Cin,H,W], weight: [Cout,Cin/groups,kh,kw], bias: [Cout] or None.
+    1x1 convs are one matmul; depthwise convs (groups == Cin == Cout) are kh
+    batched matmuls of the input rows with banded [W+2p, Wout] matrices, one
+    per kernel row and channel; all others are im2col + matmul. FlopCounter
+    records the logical 2*B*Cout*(Cin/groups)*kh*kw*Hout*Wout in every case.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -529,16 +580,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     cols = None
     if depthwise:
-        data = np.zeros((b, cout, hout, wout), dtype=x.dtype)
-        tmp = np.empty_like(data)
-        wd = weight.data
-        for i in range(kh):
-            for j in range(kw):
-                np.multiply(wd[None, :, 0, i, j, None, None],
-                            xp[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw],
-                            out=tmp)
-                data += tmp
-        del tmp
+        # kernel row i of channel c as a banded [W+2p, Wout] matrix,
+        # band[i, c, o*sw + j, o] = w[c, i, j]: each output row is then kh
+        # batched GEMMs of the strided padded input rows with the bands
+        band = np.zeros((kh, cout, xp.shape[3], wout), dtype=x.dtype)
+        o = np.arange(wout)
+        for j in range(kw):
+            band[:, :, o * sw + j, o] = weight.data[:, 0, :, j].T[:, :, None]
+        data = np.matmul(xp[:, :, 0:sh * hout:sh], band[0])
+        for i in range(1, kh):
+            data += np.matmul(xp[:, :, i:i + sh * hout:sh], band[i])
     else:
         cols = _im2col(xp, kh, kw, sh, sw, hout, wout)
         cols = cols.reshape(b, groups, cg * kh * kw, hout * wout)

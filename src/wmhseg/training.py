@@ -8,7 +8,8 @@ measured, non-reproducible column.
 
 Checkpoints use the model container; optimizer state for resuming lives in
 a sibling ``.state`` file (magic ``WMHT``) holding the Adam moments, the
-scheduler counters and the shuffling RNG state.
+scheduler counters and the shuffling RNG state. Both files are replaced
+atomically, so a failed write leaves the previous one intact.
 
 Parameter updates are single-writer between batches; evaluation treats
 parameters as read-only and may run concurrently across volumes.
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
+from .fileio import atomic_write
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
 from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
@@ -308,20 +310,19 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
 
 
 def infer_volume(params, model_cfg: ModelConfig, vol, scope: str = "slice",
-                 threshold: float = 0.5, batch_size: int = 8) -> np.ndarray:
-    """Segment one volume; returns a binary mask at the volume's dims."""
+                 threshold: float = 0.5) -> np.ndarray:
+    """Segment one volume; returns a binary mask at the volume's dims.
+
+    Slices go through the model one at a time: the largest activation of a
+    single 256x256 slice fits in a core's L2 cache, a batch of them does not.
+    """
     target = model_cfg.input_size[0]
     batch = make_slice_batch(vol, "volume", target=target, scope=scope)
-    n = batch.tensor.shape[0]
-    probs = np.empty((n, target, target), dtype=np.float32)
-    for lo in range(0, n, batch_size):
-        x = Tensor(batch.tensor[lo:lo + batch_size])
-        with T.no_grad():
-            p = model_forward(x, params, model_cfg)
-        probs[lo:lo + batch_size] = p.data[:, 0]
     out = np.zeros(vol.shape, dtype=np.float32)
     for k in range(vol.shape[2]):
-        binary = (probs[k] >= threshold).astype(np.float32)
+        with T.no_grad():
+            p = model_forward(Tensor(batch.tensor[k:k + 1]), params, model_cfg)
+        binary = (p.data[0, 0] >= threshold).astype(np.float32)
         out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
     return out
 
@@ -396,7 +397,7 @@ def save_train_state(path, state: TrainState, params: dict[str, Tensor]) -> None
         "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(STATE_MAGIC)
         fh.write(struct.pack("<II", STATE_VERSION, len(blob)))
         fh.write(blob)

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines as they complete; a summary is also written to acceptance_report.txt
-in the working directory. The desk-scale training (criteria 7/8) takes
-roughly 15-25 minutes on one CPU core.
+lines as they complete; when all nine criteria pass, a summary is also
+written to acceptance_report.txt in the working directory. The desk-scale
+training (criteria 7/8) takes roughly 15-25 minutes on one CPU core.
 
 Reproducibility note (criterion 9): checkpoints are compared byte for byte;
 log rows are compared on every column except the measured wall_time column,
@@ -38,6 +38,7 @@ from test_fourier import dft2_oracle
 from test_model import attn_params, standard_attention_oracle
 
 _REPORT: list[str] = []
+N_CRITERIA = 9
 
 # desk-scale harness: 10 phantoms x 4 slices x (1 clean + 4 corrupted) = 200
 # slices; sources split 8/2 at scan level
@@ -63,8 +64,11 @@ def report(line: str) -> None:
 @pytest.fixture(scope="module", autouse=True)
 def write_report(request):
     yield
-    with open("acceptance_report.txt", "w") as fh:
-        fh.write("\n".join(_REPORT) + "\n")
+    # a partial run (e.g. -m "not slow", or a failing criterion) must not
+    # replace the tracked full report
+    if len(_REPORT) == N_CRITERIA:
+        with open("acceptance_report.txt", "w") as fh:
+            fh.write("\n".join(_REPORT) + "\n")
     # the terminal reporter stream is never captured, so the summary shows
     # even without -s
     reporter = request.config.pluginmanager.get_plugin("terminalreporter")

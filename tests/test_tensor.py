@@ -159,6 +159,34 @@ class TestConv2d:
         check_grad(lambda v: T.conv2d(x, v, None, padding=1, groups=3),
                    rng.standard_normal((3, 1, 3, 3)), rng)
 
+    # (input HxW, kernel, stride, padding); the first is the Mix-FFN case
+    @pytest.mark.parametrize("hw,kernel,stride,padding", [
+        ((6, 6), (3, 3), 1, 1), ((7, 9), (3, 3), 2, 1), ((6, 8), (3, 3), 1, 0),
+        ((5, 7), (3, 3), 1, 2), ((8, 6), (5, 3), 1, 1), ((9, 7), (5, 3), 2, 2)])
+    def test_depthwise_forward_against_channel_loop(self, rng, hw, kernel,
+                                                    stride, padding):
+        b, c, (h, w), (kh, kw) = 2, 3, hw, kernel
+        x = rng.standard_normal((b, c, h, w))
+        wt = rng.standard_normal((c, 1, kh, kw))
+        bias = rng.standard_normal(c)
+        with FlopCounter() as fc:
+            got = T.conv2d(Tensor(x, dtype=np.float64), Tensor(wt, dtype=np.float64),
+                           Tensor(bias, dtype=np.float64), stride=stride,
+                           padding=padding, groups=c)
+        hout = (h + 2 * padding - kh) // stride + 1
+        wout = (w + 2 * padding - kw) // stride + 1
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        want = np.empty((b, c, hout, wout))
+        for ch in range(c):
+            for i in range(hout):
+                for j in range(wout):
+                    win = xp[:, ch, i * stride:i * stride + kh,
+                             j * stride:j * stride + kw]
+                    want[:, ch, i, j] = (win * wt[ch, 0]).sum(axis=(1, 2)) + bias[ch]
+        assert got.shape == want.shape
+        assert np.abs(got.data - want).max() < 1e-12
+        assert fc.flops == 2 * b * c * kh * kw * hout * wout
+
 
 # ---- softmax / layer_norm ----------------------------------------------------
 
@@ -262,6 +290,27 @@ class TestGelu:
 
     def test_gradient(self, rng):
         check_grad(lambda x: T.gelu(x), rng.standard_normal((4, 5)), rng)
+
+    def test_float32_within_2e6_of_float64(self):
+        # float32 takes the rational erf; the grid spans many erf blocks
+        xs = np.linspace(-8.0, 8.0, 400001).astype(np.float32)
+        got = T.gelu(Tensor(xs)).data
+        want = T.gelu(Tensor(xs.astype(np.float64))).data
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() < 2e-6
+        # Phi stays within [0, 1]: x <= gelu(x) <= 0 below 0, 0 <= gelu(x) <= x above
+        neg, pos = xs < 0, xs > 0
+        assert ((got[neg] <= 0) & (got[neg] >= xs[neg])).all()
+        assert ((got[pos] >= 0) & (got[pos] <= xs[pos])).all()
+        # erf is exactly +-1 beyond its clamp (|x| >= 4 sqrt 2)
+        far = np.abs(xs) >= 6.0
+        assert (got[far] == np.where(xs[far] > 0, xs[far], 0.0)).all()
+
+    def test_float32_layout_independent(self, rng):
+        x = rng.standard_normal((2, 3, 50, 70)).astype(np.float32)
+        strided = T.gelu(Tensor(x.transpose(0, 1, 3, 2))).data
+        np.testing.assert_array_equal(strided, T.gelu(Tensor(x)).data
+                                      .transpose(0, 1, 3, 2))
 
     def test_float32_backward_flushes_subnormals(self):
         xs = np.linspace(-20.0, -12.0, 161)

@@ -305,6 +305,35 @@ class TestTrainStatePersistence:
             load_train_state(path, {k: p for k, p in list(params.items())[1:]})
 
 
+class TestInferVolume:
+    @pytest.mark.parametrize("side", [28, 36])  # padded / cropped to 32
+    def test_slice_at_a_time_matches_batched_forward(self, side, rng):
+        from wmhseg import tensor as T
+        from wmhseg.model import model_forward
+        from wmhseg.nifti import Volume, make_slice_batch, unpreprocess_mask
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        vol = Volume(data=rng.random((side, side, 5)).astype(np.float32),
+                     spacing=(1.0, 1.0, 2.0))
+        x = make_slice_batch(vol, "v", target=32).tensor
+        with T.no_grad():
+            batched = model_forward(Tensor(x), params, cfg).data[:, 0]
+            single = np.stack([model_forward(Tensor(x[k:k + 1]), params, cfg)
+                               .data[0, 0] for k in range(len(x))])
+        assert np.abs(single - batched).max() < 1e-5
+
+        mask = training.infer_volume(params, cfg, vol)
+        want = np.stack([unpreprocess_mask((p >= 0.5).astype(np.float32),
+                                           vol.shape[:2]) for p in batched],
+                        axis=-1)
+        near = np.stack([unpreprocess_mask(
+            (np.abs(p - 0.5) < 1e-5).astype(np.float32), vol.shape[:2])
+            for p in batched], axis=-1) > 0
+        assert mask.shape == vol.shape
+        assert 0 < want.mean() < 1  # both classes present
+        assert (mask[~near] == want[~near]).all()
+
+
 class TestEvaluate:
     def test_reference_masks_give_dice_one(self, dataset, tmp_path,
                                            monkeypatch):
@@ -325,8 +354,7 @@ class TestEvaluate:
         # map volumes to their own reference by call order
         image_entries = [e for e in entries if e.role != "mask"]
 
-        def fake_infer2(params, model_cfg, vol, scope="slice", threshold=0.5,
-                        batch_size=8):
+        def fake_infer2(params, model_cfg, vol, scope="slice", threshold=0.5):
             e = image_entries[calls["n"]]
             calls["n"] += 1
             return refs[e.source_id].astype(np.float32)

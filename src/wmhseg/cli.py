@@ -62,24 +62,42 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(path, allowed) -> dict:
+    from .errors import ConfigError
     values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            if not sep:
-                raise ValueError(f"config line without '=': {line!r}")
-            values[key.strip()] = _parse_value(key.strip(), raw)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for number, raw in enumerate(lines, 1):
+        where = f"{path}, line {number}"
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{where}: undecodable text ({exc.reason})") from None
+        if not line or line.startswith("#"):
+            continue
+        key, sep, text = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key '{key}'; known keys: "
+                              f"{', '.join(sorted(allowed))}")
+        try:
+            values[key] = _parse_value(key, text)
+        except ValueError:
+            raise ConfigError(f"{where}: cannot parse {key}={text.strip()!r}") \
+                from None
     return values
 
 
-def _effective(defaults: dict, config_path, flag_values: dict) -> dict:
+def _effective(defaults: dict, config_path, flag_values: dict,
+               extra_keys=()) -> dict:
+    """Defaults, then the config file's keys (those of ``defaults`` or
+    ``extra_keys``), then the flags that were given."""
     merged = dict(defaults)
     if config_path:
-        merged.update(_read_config_file(config_path))
+        merged.update(_read_config_file(config_path,
+                                        set(defaults) | set(extra_keys)))
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     return merged
 
@@ -89,11 +107,14 @@ def _echo(command: str, cfg: dict) -> None:
         print(f"config {command}: {key}={cfg[key]}")
 
 
+# ModelConfig fields a train config file may override on top of the preset
+_MODEL_KEYS = ("stage_channels", "stage_depths", "reduction_factors",
+               "num_heads", "ffn_expansion", "decoder_channels", "input_size")
+
+
 def _model_config(cfg: dict):
     from .model import ModelConfig
-    keys = ("stage_channels", "stage_depths", "reduction_factors", "num_heads",
-            "ffn_expansion", "decoder_channels", "input_size")
-    kwargs = {k: cfg[k] for k in keys if k in cfg}
+    kwargs = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
     preset = cfg.get("model", "default")
     if preset == "reduced":
         base = ModelConfig.reduced()
@@ -155,23 +176,18 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_KEYS = ("lr", "batch_size", "epochs", "plateau_patience",
-               "plateau_factor", "min_lr", "split_ratio", "seed", "beta1",
-               "beta2", "adam_eps", "checkpoint_every", "include_artifacts",
-               "normalization_scope")
-
-
 def cmd_train(args) -> int:
     from dataclasses import asdict
     from .training import TrainConfig, train
-    defaults = dict(asdict(TrainConfig()), model="default")
+    train_defaults = asdict(TrainConfig())
+    defaults = dict(train_defaults, model="default")
     flags = {"lr": args.lr, "batch_size": args.batch_size,
              "epochs": args.epochs, "seed": args.seed,
              "split_ratio": args.split_ratio, "model": args.model,
              "include_artifacts": False if args.no_artifacts else None}
-    cfg = _effective(defaults, args.config, flags)
+    cfg = _effective(defaults, args.config, flags, extra_keys=_MODEL_KEYS)
     _echo("train", cfg)
-    train_cfg = TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS})
+    train_cfg = TrainConfig(**{k: cfg[k] for k in train_defaults})
     result = train(train_cfg, _model_config(cfg), args.manifest, args.out,
                    resume=args.resume)
     last = result.history[-1]

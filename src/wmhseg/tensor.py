@@ -518,20 +518,24 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     return cols
 
 
-# im2col buffers below this size are kept alive for the backward pass;
-# larger ones are recomputed to bound graph memory
-_CONV_CACHE_BYTES = 128 * 1024 * 1024
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0, groups: int = 1) -> Tensor:
     """2D cross-correlation with zero padding and optional channel groups.
 
     x: [B,Cin,H,W], weight: [Cout,Cin/groups,kh,kw], bias: [Cout] or None.
-    1x1 convs are one matmul; depthwise convs (groups == Cin == Cout) are kh
-    batched matmuls of the input rows with banded [W+2p, Wout] matrices, one
-    per kernel row and channel; all others are im2col + matmul. FlopCounter
+    Depthwise convs (groups == Cin == Cout) are kh batched matmuls of the
+    input rows with banded [W+2p, Wout] matrices, one per kernel row and
+    channel; all others, 1x1 included, are im2col + matmul. FlopCounter
     records the logical 2*B*Cout*(Cin/groups)*kh*kw*Hout*Wout in every case.
+
+    Backward: depthwise convs take the input gradient from the same bands,
+    transposed, and the weight gradient from one einsum per tap; dense
+    stride-1 convs with padding < kernel take both gradients from one im2col
+    of the output gradient padded by k-1-p; the rest (strided, grouped or
+    padding >= kernel) recompute the input columns and scatter the input
+    gradient back with col2im. The backward closure keeps the padded input
+    and, for depthwise convs, the bands; no im2col buffer outlives the
+    forward pass.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -550,35 +554,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                          f"{h + 2 * ph}x{w + 2 * pw}")
     _count_flops(2 * b * cout * cg * kh * kw * hout * wout)
 
-    pointwise = kh == kw == 1 and sh == sw == 1 and ph == pw == 0 and groups == 1
-    if pointwise:
-        wm = weight.data.reshape(cout, cin)
-        data = np.matmul(wm[None], x.data.reshape(b, cin, h * w)) \
-            .reshape(b, cout, h, w)
-        if bias is not None:
-            data += bias.data[None, :, None, None]
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        out = _make(data, parents, "conv2d")
-        if out.requires_grad:
-            def backward_pw():
-                g = out.grad
-                gg = g.reshape(b, cout, h * w)
-                if bias is not None and bias.requires_grad:
-                    bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-                if weight.requires_grad:
-                    dw = np.matmul(gg, x.data.reshape(b, cin, h * w)
-                                   .swapaxes(-1, -2)).sum(axis=0)
-                    weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
-                    dx = np.matmul(wm.T[None], gg).reshape(x.shape)
-                    x._accumulate(dx, owned=True)
-            out._backward = backward_pw
-        return out
-
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     depthwise = cg == 1 and cout == cin == groups
+    transposed = groups == 1 and sh == sw == 1 and ph < kh and pw < kw
 
-    cols = None
     if depthwise:
         # kernel row i of channel c as a banded [W+2p, Wout] matrix,
         # band[i, c, o*sw + j, o] = w[c, i, j]: each output row is then kh
@@ -591,8 +570,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         for i in range(1, kh):
             data += np.matmul(xp[:, :, i:i + sh * hout:sh], band[i])
     else:
-        cols = _im2col(xp, kh, kw, sh, sw, hout, wout)
-        cols = cols.reshape(b, groups, cg * kh * kw, hout * wout)
+        cols = _im2col(xp, kh, kw, sh, sw, hout, wout) \
+            .reshape(b, groups, cg * kh * kw, hout * wout)
         wg = weight.data.reshape(groups, cout // groups, cg * kh * kw)
         data = np.matmul(wg[None], cols).reshape(b, cout, hout, wout)
     if bias is not None:
@@ -601,64 +580,59 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(data, parents, "conv2d")
     if out.requires_grad:
-        keep_cols = cols if (cols is not None
-                             and cols.nbytes <= _CONV_CACHE_BYTES) else None
-        keep_xp = xp if (xp is not x.data and xp.nbytes <= _CONV_CACHE_BYTES) \
-            else None
-
         def backward():
             g = out.grad
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
-            if keep_xp is not None:
-                xpad = keep_xp
-            else:
-                xpad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
-                    if (ph or pw) else x.data
             if depthwise:
                 if weight.requires_grad:
                     dw = np.empty_like(weight.data)
                     for i in range(kh):
                         for j in range(kw):
-                            win = xpad[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw]
+                            win = xp[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw]
                             dw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, win)
                     weight._accumulate(dw, owned=True)
                 if x.requires_grad:
-                    dxp = np.zeros_like(xpad)
-                    wd = weight.data
+                    # adjoint of the banded forward
+                    dxp = np.zeros_like(xp)
                     for i in range(kh):
-                        for j in range(kw):
-                            dxp[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw] += \
-                                wd[None, :, 0, i, j, None, None] * g
+                        dxp[:, :, i:i + sh * hout:sh] += \
+                            np.matmul(g, band[i].swapaxes(-1, -2))
                     x._accumulate(dxp[:, :, ph:ph + h, pw:pw + w]
                                   if (ph or pw) else dxp, owned=True)
+            elif transposed:
+                # gcols[b, (o,i,j), (y,x)] = g[b, o, y+i-qh, x+j-qw], g padded
+                # by q = k-1-p: the input gradient correlates it with the
+                # flipped, channel-swapped kernel, and gcols . x^T holds the
+                # weight gradient with its taps flipped
+                qh, qw = kh - 1 - ph, kw - 1 - pw
+                gp = np.pad(g, ((0, 0), (0, 0), (qh, qh), (qw, qw))) \
+                    if (qh or qw) else g
+                gcols = _im2col(gp, kh, kw, 1, 1, h, w) \
+                    .reshape(b, cout * kh * kw, h * w)
+                if weight.requires_grad:
+                    xs = x.data.reshape(b, cin, h * w)
+                    dw = np.matmul(gcols, xs.swapaxes(-1, -2)).sum(axis=0)
+                    dw = dw.reshape(cout, kh, kw, cin)[:, ::-1, ::-1] \
+                        .transpose(0, 3, 1, 2)
+                    weight._accumulate(np.ascontiguousarray(dw), owned=True)
+                if x.requires_grad:
+                    wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                        .reshape(cin, cout * kh * kw)
+                    dx = np.matmul(wt[None], gcols).reshape(x.shape)
+                    x._accumulate(dx, owned=True)
             else:
                 gg = g.reshape(b, groups, cout // groups, hout * wout)
                 if weight.requires_grad:
-                    wcols = keep_cols
-                    if wcols is None:
-                        wcols = _im2col(xpad, kh, kw, sh, sw, hout, wout) \
-                            .reshape(b, groups, cg * kh * kw, hout * wout)
-                    dw = np.matmul(gg, np.swapaxes(wcols, -1, -2)).sum(axis=0)
+                    cols = _im2col(xp, kh, kw, sh, sw, hout, wout) \
+                        .reshape(b, groups, cg * kh * kw, hout * wout)
+                    dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0)
                     weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad and sh == sw == 1 and groups == 1 \
-                        and ph < kh and pw < kw:
-                    # transposed conv: correlate g, padded by k-1-p, with the
-                    # flipped kernel whose in/out channels are swapped
-                    qh, qw = kh - 1 - ph, kw - 1 - pw
-                    gp = np.pad(g, ((0, 0), (0, 0), (qh, qh), (qw, qw))) \
-                        if (qh or qw) else g
-                    wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
-                        .reshape(cin, cout * kh * kw)
-                    gcols = _im2col(gp, kh, kw, 1, 1, h, w) \
-                        .reshape(b, cout * kh * kw, h * w)
-                    dx = np.matmul(wt[None], gcols).reshape(x.shape)
-                    x._accumulate(dx, owned=True)
-                elif x.requires_grad:
+                if x.requires_grad:
                     wg = weight.data.reshape(groups, cout // groups, cg * kh * kw)
                     dcols = np.matmul(np.swapaxes(wg, -1, -2)[None], gg)
                     dcols = dcols.reshape(b, cin, kh, kw, hout, wout)
-                    dxp = np.zeros_like(xpad)
+                    dxp = np.zeros_like(xp)
                     for i in range(kh):
                         for j in range(kw):
                             dxp[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw] += \

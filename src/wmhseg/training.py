@@ -56,7 +56,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    checkpoint_every: int = 1          # epochs between 'last' checkpoint writes
     include_artifacts: bool = True     # False trains on clean scans only
     normalization_scope: str = "slice"
 
@@ -231,10 +230,10 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
 
 def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
           out_dir, resume: Optional[str] = None) -> TrainResult:
-    """Full training run driven by a manifest; writes checkpoints and a CSV log."""
-    entries = read_manifest(manifest) if isinstance(manifest, (str, Path)) \
-        else list(manifest)
-    base_dir = manifest_dir(manifest) if isinstance(manifest, (str, Path)) else "."
+    """Full training run driven by a manifest file; writes checkpoints and a
+    CSV log. ``last.ckpt`` and its state are written after every epoch."""
+    entries = read_manifest(manifest)
+    base_dir = manifest_dir(manifest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -296,10 +295,8 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
             if val_loss < best_val:
                 best_val = val_loss
                 save_checkpoint(best_path, params, model_cfg)
-            if epoch % train_cfg.checkpoint_every == 0 \
-                    or epoch == start_epoch + train_cfg.epochs:
-                save_checkpoint(last_path, params, model_cfg)
-                save_train_state(last_path + ".state", state, params)
+            save_checkpoint(last_path, params, model_cfg)
+            save_train_state(last_path + ".state", state, params)
     if not Path(best_path).exists():
         save_checkpoint(best_path, params, model_cfg)
     return TrainResult(best_path, last_path, log_path, history,

@@ -305,3 +305,42 @@ class TestUsage:
 
     def test_missing_required_flag_exit_one(self):
         assert main(["segment", "--in", "x.nii", "--out", "y.nii"]) == EXIT_USAGE
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command,text,needles", [
+        ("train", b"epoch=1\nlearning_rate=5\n", ("line 1", "'epoch'")),
+        ("train", b"lr=1e-3\n# model\ncheckpoint_every=2\n",
+         ("line 3", "'checkpoint_every'")),
+        ("train", b"epochs=1\nbatch_size 8\n", ("line 2", "key=value")),
+        ("train", b"epochs=1\n\xff\n", ("line 2", "undecodable")),
+        ("phantom", b"sedd=5\n", ("line 1", "'sedd'")),
+        ("phantom", b"n=1\nsize=a,b\n", ("line 2", "size='a,b'")),
+    ], ids=["train-typo", "train-removed-key", "no-equals", "undecodable",
+            "phantom-typo", "unparsable"])
+    def test_bad_config_usage_error(self, dataset, tmp_path, capsys, command,
+                                    text, needles):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--config", str(cfg)]
+        if command == "train":
+            args += ["--manifest", str(dataset / "manifest.csv"),
+                     "--model", "tiny"]
+        code = main([command] + args)
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, lines
+        for needle in (str(cfg),) + needles:
+            assert needle in lines[0]
+        assert "config " not in captured.out  # rejected before the echo
+        assert not out.exists()
+
+    def test_model_override_keys_accepted(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nbatch_size=8\nffn_expansion=2\n")
+        assert main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(tmp_path / "o"), "--model", "tiny",
+                     "--config", str(cfg)]) == EXIT_OK
+        assert "config train: ffn_expansion=2" in capsys.readouterr().out

@@ -143,16 +143,43 @@ class TestConv2d:
         wd = Tensor(rng.standard_normal((3, 1, 3, 3)), dtype=np.float64)
         check_grad(lambda v: T.conv2d(v, wd, None, padding=1, groups=3),
                    rng.standard_normal((2, 3, 5, 5)), rng)
+        # depthwise input gradient (the transposed bands) at stride 2 and
+        # with a 5x3 kernel
+        for kernel, stride, padding in (((3, 3), 2, 1), ((5, 3), 1, (2, 1)),
+                                        ((5, 3), 2, 2)):
+            wd = Tensor(rng.standard_normal((3, 1) + kernel), dtype=np.float64)
+            check_grad(lambda v: T.conv2d(v, wd, None, stride=stride,
+                                          padding=padding, groups=3),
+                       rng.standard_normal((2, 3, 7, 6)), rng)
+        # groups=2 recomputes its input columns and scatters with col2im
+        wg = Tensor(rng.standard_normal((6, 2, 3, 3)), dtype=np.float64)
+        bg = Tensor(rng.standard_normal(6), dtype=np.float64)
+        check_grad(lambda v: T.conv2d(v, wg, bg, padding=1, groups=2),
+                   rng.standard_normal((2, 4, 5, 6)), rng)
+        xg = Tensor(rng.standard_normal((2, 4, 5, 6)), dtype=np.float64)
+        check_grad(lambda v: T.conv2d(xg, v, bg, padding=1, groups=2),
+                   rng.standard_normal((6, 2, 3, 3)), rng)
 
-    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("kernel,padding", [
+        pytest.param((3, 3), 0, id="0"), pytest.param((3, 3), 1, id="1"),
+        pytest.param((3, 3), 3, id="3"),
+        pytest.param((3, 2), (1, 0), id="k3x2-p1x0"),
+        pytest.param((1, 3), (0, 1), id="k1x3-p0x1"),
+        pytest.param((2, 3), (1, 2), id="k2x3-p1x2"),
+        pytest.param((1, 1), 0, id="k1x1-p0")])
     @pytest.mark.parametrize("cin,cout", [(5, 2), (2, 5)])
-    def test_stride1_input_gradient(self, rng, padding, cin, cout):
-        # stride-1 dense convs take the transposed-conv input gradient,
-        # except when padding >= kernel size (padding 3 here)
-        w = Tensor(rng.standard_normal((cout, cin, 3, 3)), dtype=np.float64)
+    def test_stride1_input_gradient(self, rng, kernel, padding, cin, cout):
+        # stride-1 dense convs take both gradients from one im2col of the
+        # output gradient, except when padding >= kernel size (padding 3)
+        w0 = rng.standard_normal((cout, cin) + kernel)
+        w = Tensor(w0, dtype=np.float64)
         b = Tensor(rng.standard_normal(cout), dtype=np.float64)
+        x0 = rng.standard_normal((2, cin, 5, 7))
         check_grad(lambda x: T.conv2d(x, w, b, stride=1, padding=padding),
-                   rng.standard_normal((2, cin, 5, 7)), rng)
+                   x0, rng)
+        x = Tensor(x0, dtype=np.float64)
+        check_grad(lambda v: T.conv2d(x, v, b, stride=1, padding=padding),
+                   w0, rng)
 
     def test_depthwise_weight_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 5, 6)), dtype=np.float64)

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
+from .fileio import atomic_write
 from .fourier import fft2, ifft2
 from .nifti import Volume
 from .seeding import derive_seed
@@ -203,8 +204,8 @@ def write_sidecar(path, spec: ArtifactSpec) -> None:
         lines.append(f"ghost_count={spec.ghost_count}")
         lines.append(f"ghost_axis={spec.ghost_axis}")
         lines.append(f"ghost_intensity={spec.ghost_intensity!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 _SIDECAR_FIELDS = {

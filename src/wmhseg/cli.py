@@ -13,6 +13,7 @@ this module are deferred into the command handlers.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,10 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_TUPLE_KEYS = {"stage_channels", "stage_depths", "reduction_factors",
-               "num_heads", "decoder_channels", "input_size", "size",
-               "num_lesions_range", "lesion_radius_mm", "spacing"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,27 +39,38 @@ def _apply_thread_cap() -> None:
             os.environ.setdefault(var, cap)
 
 
-def _number(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        return float(raw)
+_TYPE_NAMES = {bool: "true or false", int: "an int", float: "a finite number"}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(raw: str, default):
+    """``raw`` as the type of ``default``: bool, int, float, str, or a tuple
+    of as many comma-separated values as ``default`` has."""
+    if isinstance(default, tuple):
+        parts = raw.split(",")
+        if len(parts) != len(default):
+            raise ValueError
+        return tuple(_parse_value(v, d) for v, d in zip(parts, default))
     raw = raw.strip()
-    if key in _TUPLE_KEYS:
-        return tuple(_number(v) for v in raw.split(","))
-    try:
-        return _number(raw)
-    except ValueError:
-        pass
-    if raw.lower() in ("true", "false"):
+    if isinstance(default, bool):
+        if raw.lower() not in ("true", "false"):
+            raise ValueError
         return raw.lower() == "true"
-    return raw
+    value = type(default)(raw)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError
+    return value
 
 
-def _read_config_file(path, allowed) -> dict:
+def _expected(default) -> str:
+    if isinstance(default, tuple):
+        return f"{len(default)} comma-separated values, each " \
+            f"{_TYPE_NAMES[type(default[0])]}"
+    return _TYPE_NAMES[type(default)]
+
+
+def _read_config_file(path, defaults: dict) -> dict:
+    """key=value lines, each parsed as the type of the key's entry in
+    ``defaults``; a key not in ``defaults`` is an error."""
     from .errors import ConfigError
     values = {}
     with open(path, "rb") as fh:
@@ -79,25 +87,26 @@ def _read_config_file(path, allowed) -> dict:
         key = key.strip()
         if not sep:
             raise ConfigError(f"{where}: expected key=value, got {line!r}")
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(f"{where}: unknown key '{key}'; known keys: "
-                              f"{', '.join(sorted(allowed))}")
+                              f"{', '.join(sorted(defaults))}")
         try:
-            values[key] = _parse_value(key, text)
+            values[key] = _parse_value(text, defaults[key])
         except ValueError:
-            raise ConfigError(f"{where}: cannot parse {key}={text.strip()!r}") \
-                from None
+            raise ConfigError(f"{where}: cannot parse {key}={text.strip()!r}: "
+                              f"expected {_expected(defaults[key])}") from None
     return values
 
 
 def _effective(defaults: dict, config_path, flag_values: dict,
-               extra_keys=()) -> dict:
+               extra_defaults=None) -> dict:
     """Defaults, then the config file's keys (those of ``defaults`` or
-    ``extra_keys``), then the flags that were given."""
+    ``extra_defaults``, typed by their default), then the flags that were
+    given."""
     merged = dict(defaults)
     if config_path:
         merged.update(_read_config_file(config_path,
-                                        set(defaults) | set(extra_keys)))
+                                        {**defaults, **(extra_defaults or {})}))
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     return merged
 
@@ -178,6 +187,7 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     from dataclasses import asdict
+    from .model import ModelConfig
     from .training import TrainConfig, train
     train_defaults = asdict(TrainConfig())
     defaults = dict(train_defaults, model="default")
@@ -185,7 +195,9 @@ def cmd_train(args) -> int:
              "epochs": args.epochs, "seed": args.seed,
              "split_ratio": args.split_ratio, "model": args.model,
              "include_artifacts": False if args.no_artifacts else None}
-    cfg = _effective(defaults, args.config, flags, extra_keys=_MODEL_KEYS)
+    model_defaults = {k: v for k, v in asdict(ModelConfig()).items()
+                      if k in _MODEL_KEYS}
+    cfg = _effective(defaults, args.config, flags, extra_defaults=model_defaults)
     _echo("train", cfg)
     train_cfg = TrainConfig(**{k: cfg[k] for k in train_defaults})
     result = train(train_cfg, _model_config(cfg), args.manifest, args.out,

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
+from .fileio import atomic_write
 
 
 @dataclass
@@ -63,9 +65,11 @@ def paired_volume_report(pairs: Sequence[tuple[float, float]]) -> dict:
 
 def write_metrics_csv(path, metrics: Sequence[SegMetrics]) -> None:
     """One row per image: (id, dice, vol_pred_mm3, vol_ref_mm3)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "dice", "vol_pred_mm3", "vol_ref_mm3"])
-        for m in metrics:
-            writer.writerow([m.image_id, f"{m.dice_score:.6f}",
-                             f"{m.lesion_volume_pred:.3f}", f"{m.lesion_volume_ref:.3f}"])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["id", "dice", "vol_pred_mm3", "vol_ref_mm3"])
+    for m in metrics:
+        writer.writerow([m.image_id, f"{m.dice_score:.6f}",
+                         f"{m.lesion_volume_pred:.3f}", f"{m.lesion_volume_ref:.3f}"])
+    with atomic_write(path) as fh:
+        fh.write(buf.getvalue().encode("utf-8"))

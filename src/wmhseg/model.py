@@ -9,6 +9,18 @@ with a 1x1 conv producing one logit channel, then a 4x bilinear upsample of
 that logit (equal to upsampling first, since both are linear and the
 interpolation rows sum to 1).
 
+Token layout: encoder tokens are channel-first, [B,C,N] with N = H*W, from
+the patch embedding to the stage output, so a stage's map is a reshape of
+its tokens and Mix-FFN's depthwise conv runs on a reshape too. SegFormer
+(Xie et al. 2021) keeps tokens channel-last, [B,N,C]; this package does not,
+because numpy reduces a strided channel axis (layer norm over axis 1) much
+faster than a short contiguous one of 16-256 channels, and because the
+[B,N,C] <-> [B,C,H,W] copies at every patch embed, Mix-FFN and stage end go
+away. Projections are ``W^T @ x`` through a transposed view, so parameters
+keep their [Cin,Cout] shapes and checkpoints are layout-independent.
+Attention heads split along C and the scores are laid out [B,heads,M,N]
+(keys by queries), normalized over M.
+
 Checkpoint container: magic ``WMHS``, u32 format version, JSON-serialized
 config, then per parameter (path, shape, raw little-endian float32 values).
 Round-trips are bit-exact; a save replaces the file atomically.
@@ -215,17 +227,25 @@ def subparams(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
 # ---- forward passes ---------------------------------------------------------
 
 
+def _project(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Linear map of channel-first tokens: [B,Cin,N] -> [B,Cout,N].
+
+    ``weight`` is stored [Cin,Cout], as for channel-last tokens, and enters
+    through a transposed view.
+    """
+    return T.matmul(weight.transpose(1, 0), x) + bias.reshape(-1, 1)
+
+
 def overlap_patch_embed(x: Tensor, params: dict[str, Tensor], config: ModelConfig,
                         stage_idx: int) -> tuple[Tensor, int, int]:
-    """Strided-conv tokenizer of one stage; returns (tokens [B,N,C], H', W')."""
+    """Strided-conv tokenizer of one stage; returns (tokens [B,C,N], H', W')."""
     k, s, p = PATCH_KERNELS[stage_idx]
     pre = f"stage{stage_idx + 1}.embed"
     y = T.conv2d(x, params[f"{pre}.weight"], params[f"{pre}.bias"],
                  stride=s, padding=p)
     b, c, h, w = y.shape
-    tokens = y.reshape(b, c, h * w).transpose(0, 2, 1)
-    tokens = T.layer_norm(tokens, params[f"{pre}.norm.gamma"],
-                          params[f"{pre}.norm.beta"])
+    tokens = T.layer_norm(y.reshape(b, c, h * w), params[f"{pre}.norm.gamma"],
+                          params[f"{pre}.norm.beta"], axis=1)
     return tokens, h, w
 
 
@@ -234,12 +254,15 @@ def efficient_attention(tokens: Tensor, h: int, w: int, p: dict[str, Tensor],
                         return_weights: bool = False):
     """Multi-head attention whose key/value sequence is shortened by ``reduction``.
 
-    Queries keep length N = h*w. For reduction > 1 the token grid is split
-    into sqrt(R) x sqrt(R) tiles, each tile's features are flattened to one
-    vector of size C*R, projected back to C and layer-normalized; keys and
-    values are computed from that shortened sequence.
+    ``tokens`` are [B,C,N]. Queries keep length N = h*w. For reduction > 1
+    the token grid is split into sqrt(R) x sqrt(R) tiles, each tile's
+    features are flattened in (row, column, channel) order to one vector of
+    size R*C, projected back to C and layer-normalized; keys and values are
+    computed from that shortened sequence of length M. Heads split along C;
+    the scores are laid out [B,heads,M,N] and normalized over M. With
+    ``return_weights`` the weights come back as a [B,heads,N,M] view.
     """
-    b, n, c = tokens.shape
+    b, c, n = tokens.shape
     if n != h * w:
         raise ShapeError(f"token count {n} != {h}x{w}")
     if c % heads != 0:
@@ -250,41 +273,40 @@ def efficient_attention(tokens: Tensor, h: int, w: int, p: dict[str, Tensor],
     if reduction > 1 and (n % reduction or h % root or w % root):
         raise ConfigError(f"reduction {reduction} does not divide token grid {h}x{w}")
 
-    q = T.matmul(tokens, p["q_weight"]) + p["q_bias"]
+    q = _project(tokens, p["q_weight"], p["q_bias"])
     if reduction > 1:
-        red = tokens.reshape(b, h // root, root, w // root, root, c)
-        red = red.transpose(0, 1, 3, 2, 4, 5).reshape(b, n // reduction, reduction * c)
-        red = T.matmul(red, p["sr_weight"]) + p["sr_bias"]
-        red = T.layer_norm(red, p["srnorm.gamma"], p["srnorm.beta"])
+        red = tokens.reshape(b, c, h // root, root, w // root, root)
+        red = red.transpose(0, 3, 5, 1, 2, 4).reshape(b, reduction * c, n // reduction)
+        red = _project(red, p["sr_weight"], p["sr_bias"])
+        red = T.layer_norm(red, p["srnorm.gamma"], p["srnorm.beta"], axis=1)
     else:
         red = tokens
-    key = T.matmul(red, p["k_weight"]) + p["k_bias"]
-    val = T.matmul(red, p["v_weight"]) + p["v_bias"]
+    key = _project(red, p["k_weight"], p["k_bias"])
+    val = _project(red, p["v_weight"], p["v_bias"])
 
-    m = red.shape[1]
+    m = red.shape[2]
     d = c // heads
-    qh = q.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
-    kh = key.reshape(b, m, heads, d).transpose(0, 2, 3, 1)
-    vh = val.reshape(b, m, heads, d).transpose(0, 2, 1, 3)
-    scores = T.matmul(qh, kh) * (1.0 / math.sqrt(d))
-    weights = T.softmax(scores, axis=-1)
-    ctx = T.matmul(weights, vh).transpose(0, 2, 1, 3).reshape(b, n, c)
-    out = T.matmul(ctx, p["out_weight"]) + p["out_bias"]
-    return (out, weights) if return_weights else out
+    qh = q.reshape(b, heads, d, n)
+    kh = key.reshape(b, heads, d, m).transpose(0, 1, 3, 2)
+    vh = val.reshape(b, heads, d, m)
+    scores = T.matmul(kh, qh) * (1.0 / math.sqrt(d))
+    weights = T.softmax(scores, axis=-2)
+    ctx = T.matmul(vh, weights).reshape(b, c, n)
+    out = _project(ctx, p["out_weight"], p["out_bias"])
+    return (out, weights.transpose(0, 1, 3, 2)) if return_weights else out
 
 
 def mix_ffn(tokens: Tensor, h: int, w: int, p: dict[str, Tensor]) -> Tensor:
     """Feed-forward block with a depthwise 3x3 conv between the projections."""
-    b, n, c = tokens.shape
+    b, c, n = tokens.shape
     if n != h * w:
         raise ShapeError(f"token count {n} != {h}x{w}")
-    x = T.matmul(tokens, p["fc1_weight"]) + p["fc1_bias"]
-    e = x.shape[-1]
-    x = x.transpose(0, 2, 1).reshape(b, e, h, w)
-    x = T.conv2d(x, p["dw_weight"], p["dw_bias"], stride=1, padding=1, groups=e)
+    x = _project(tokens, p["fc1_weight"], p["fc1_bias"])
+    e = x.shape[1]
+    x = T.conv2d(x.reshape(b, e, h, w), p["dw_weight"], p["dw_bias"], stride=1,
+                 padding=1, groups=e)
     x = T.gelu(x)
-    x = x.reshape(b, e, n).transpose(0, 2, 1)
-    return T.matmul(x, p["fc2_weight"]) + p["fc2_bias"]
+    return _project(x.reshape(b, e, n), p["fc2_weight"], p["fc2_bias"])
 
 
 def encoder_forward(image: Tensor, params: dict[str, Tensor],
@@ -303,17 +325,16 @@ def encoder_forward(image: Tensor, params: dict[str, Tensor],
             blk = f"{stage}.block{dpt}"
             attn_p = subparams(params, f"{blk}.attn")
             normed = T.layer_norm(tokens, params[f"{blk}.norm1.gamma"],
-                                  params[f"{blk}.norm1.beta"])
+                                  params[f"{blk}.norm1.beta"], axis=1)
             tokens = tokens + efficient_attention(
                 normed, h, w, attn_p, config.reduction_factors[i],
                 config.num_heads[i])
             normed = T.layer_norm(tokens, params[f"{blk}.norm2.gamma"],
-                                  params[f"{blk}.norm2.beta"])
+                                  params[f"{blk}.norm2.beta"], axis=1)
             tokens = tokens + mix_ffn(normed, h, w, subparams(params, f"{blk}.ffn"))
         tokens = T.layer_norm(tokens, params[f"{stage}.norm.gamma"],
-                              params[f"{stage}.norm.beta"])
-        b = tokens.shape[0]
-        x = tokens.transpose(0, 2, 1).reshape(b, config.stage_channels[i], h, w)
+                              params[f"{stage}.norm.beta"], axis=1)
+        x = tokens.reshape(tokens.shape[0], config.stage_channels[i], h, w)
         feats.append(x)
     return feats
 

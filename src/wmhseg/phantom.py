@@ -15,6 +15,7 @@ file. Paths in the manifest are relative to the manifest's directory.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from scipy.ndimage import gaussian_filter
 
 from .artifacts import KINDS, corrupt_scan, write_sidecar
 from .errors import DataFormatError, ValidationError
+from .fileio import atomic_write
 from .nifti import Volume, write_nifti
 from .seeding import derive_seed
 
@@ -155,11 +157,13 @@ def generate_dataset(n: int, master_seed: int, out_dir,
 
 
 def write_manifest(path, entries: list[ManifestEntry]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MANIFEST_COLUMNS)
-        for e in entries:
-            writer.writerow([e.path, e.role, e.seed, e.source_id])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(_MANIFEST_COLUMNS)
+    for e in entries:
+        writer.writerow([e.path, e.role, e.seed, e.source_id])
+    with atomic_write(path) as fh:
+        fh.write(buf.getvalue().encode("utf-8"))
 
 
 def read_manifest(path) -> list[ManifestEntry]:

@@ -463,14 +463,6 @@ def gelu(x: Tensor) -> Tensor:
 # ---- matmul ----------------------------------------------------------------
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # flatten leading batch dims into one GEMM when the right operand is 2D
-    if b.ndim == 2 and a.ndim > 2 and a.flags.c_contiguous:
-        lead = a.shape[:-1]
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(lead + (b.shape[-1],))
-    return np.matmul(a, b)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product [..,M,K] x [..,K,P] -> [..,M,P]."""
     a = _as_tensor(a, DEFAULT_DTYPE)
@@ -479,7 +471,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul requires >=2D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    data = _mm(a.data, b.data)
+    data = np.matmul(a.data, b.data)
     _count_flops(2 * data.shape[-2] * data.shape[-1] * a.shape[-1]
                  * int(np.prod(data.shape[:-2], dtype=np.int64)))
     out = _make(data, (a, b), "matmul")
@@ -487,15 +479,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def backward():
             g = out.grad
             if a.requires_grad:
-                ga = _mm(g, b.data.swapaxes(-1, -2)) if b.ndim == 2 \
-                    else np.matmul(g, np.swapaxes(b.data, -1, -2))
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.shape), owned=True)
             if b.requires_grad:
-                if b.ndim == 2 and a.ndim > 2:
-                    gb = a.data.reshape(-1, a.shape[-1]).T \
-                        @ g.reshape(-1, g.shape[-1])
-                else:
-                    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accumulate(_unbroadcast(gb, b.shape), owned=True)
         out._backward = backward
     return out
@@ -663,34 +650,48 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+               axis: int = -1) -> Tensor:
+    """Normalize ``axis`` to zero mean / unit variance, then affine.
+
+    gamma and beta have one entry per position along ``axis`` and broadcast
+    over the other axes.
+    """
     if eps <= 0:
         raise ValueError("layer_norm eps must be > 0")
-    c = x.shape[-1]
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"layer_norm axis {axis} out of bounds for shape {x.shape}")
+    axis %= x.ndim
+    c = x.shape[axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},), got "
                          f"{gamma.shape}/{beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    affine = (c,) + (1,) * (x.ndim - 1 - axis)
+    gam = gamma.data.reshape(affine)
+    mu = x.data.mean(axis=axis, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = xc * inv
-    data = gamma.data * xhat + beta.data
+    xhat *= inv
+    data = xhat * gam
+    data += beta.data.reshape(affine)
     out = _make(data, (x, gamma, beta), "layer_norm")
     if out.requires_grad:
         def backward():
             g = out.grad
-            lead = tuple(range(g.ndim - 1))
+            rest = tuple(i for i in range(g.ndim) if i != axis)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=lead), owned=True)
+                beta._accumulate(g.sum(axis=rest), owned=True)
             if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=lead), owned=True)
+                gamma._accumulate((g * xhat).sum(axis=rest), owned=True)
             if x.requires_grad:
-                dxhat = g * gamma.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate((dxhat - m1 - xhat * m2) * inv, owned=True)
+                dxhat = g * gam
+                m1 = dxhat.mean(axis=axis, keepdims=True)
+                m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
+                dx = dxhat - m1
+                dx -= xhat * m2
+                dx *= inv
+                x._accumulate(dx, owned=True)
         out._backward = backward
     return out
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -62,8 +63,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

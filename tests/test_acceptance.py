@@ -35,7 +35,7 @@ from wmhseg.training import TrainConfig, evaluate, train
 
 from conftest import check_grad
 from test_fourier import dft2_oracle
-from test_model import attn_params, standard_attention_oracle
+from test_model import attn_params, cf, standard_attention_oracle
 
 _REPORT: list[str] = []
 N_CRITERIA = 9
@@ -190,13 +190,13 @@ def test_criterion_2_attention_oracle(rng):
     b, h, w, c, heads = 2, 16, 16, 32, 4
     tokens = rng.standard_normal((b, h * w, c)).astype(np.float32)
     p = attn_params(c, 1, heads, rng, dtype=np.float32)
-    got = efficient_attention(Tensor(tokens), h, w, p, 1, heads)
+    got = efficient_attention(Tensor(cf(tokens)), h, w, p, 1, heads)
     want = standard_attention_oracle(tokens.astype(np.float64), p, heads)
-    diff = float(np.abs(got.data - want).max())
+    diff = float(np.abs(cf(got.data) - want).max())
     assert diff < 1e-6
 
     n, hh, ww = 4096, 64, 64
-    big = Tensor(rng.standard_normal((1, n, c)).astype(np.float32))
+    big = Tensor(cf(rng.standard_normal((1, n, c)).astype(np.float32)))
     flops, wall = {}, {}
     for r in (1, 16):
         pr = attn_params(c, r, 1, rng, dtype=np.float32)

@@ -151,6 +151,15 @@ class TestTrainCommand:
                      "--epochs", "0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_rejected(self, dataset, tmp_path, capsys, lr):
+        code = main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(tmp_path / "o"), "--model", "tiny",
+                     "--lr", lr])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == \
+            [f"error: lr must be finite and > 0, got {lr}"]
+
     def test_resume_continues_numbering(self, dataset, tmp_path):
         args = ["train", "--manifest", str(dataset / "manifest.csv"),
                 "--out", str(tmp_path / "r"), "--model", "tiny",
@@ -316,8 +325,18 @@ class TestConfigFile:
         ("train", b"epochs=1\n\xff\n", ("line 2", "undecodable")),
         ("phantom", b"sedd=5\n", ("line 1", "'sedd'")),
         ("phantom", b"n=1\nsize=a,b\n", ("line 2", "size='a,b'")),
+        ("train", b"epochs=abc\n", ("line 1", "epochs='abc'", "an int")),
+        ("train", b"epochs=1\nlr=fast\n", ("line 2", "lr='fast'", "a finite number")),
+        ("train", b"lr=nan\n", ("line 1", "lr='nan'", "a finite number")),
+        ("train", b"stage_channels=a,b\n",
+         ("line 1", "stage_channels='a,b'", "4 comma-separated values, each an int")),
+        ("train", b"stage_channels=8,8\n",
+         ("line 1", "stage_channels='8,8'", "4 comma-separated values")),
+        ("train", b"include_artifacts=yes\n",
+         ("line 1", "include_artifacts='yes'", "true or false")),
     ], ids=["train-typo", "train-removed-key", "no-equals", "undecodable",
-            "phantom-typo", "unparsable"])
+            "phantom-typo", "unparsable", "int-key", "float-key", "float-nan", "tuple-key",
+            "tuple-length", "bool-key"])
     def test_bad_config_usage_error(self, dataset, tmp_path, capsys, command,
                                     text, needles):
         cfg = tmp_path / "run.cfg"
@@ -344,3 +363,16 @@ class TestConfigFile:
                      "--out", str(tmp_path / "o"), "--model", "tiny",
                      "--config", str(cfg)]) == EXIT_OK
         assert "config train: ffn_expansion=2" in capsys.readouterr().out
+
+    def test_values_take_the_type_of_their_default(self, dataset, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nbatch_size=8\nlr=1\ninclude_artifacts=False\n"
+                       "normalization_scope=volume\n")
+        assert main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(tmp_path / "o"), "--model", "tiny",
+                     "--config", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        for line in ("lr=1.0", "include_artifacts=False", "epochs=1",
+                     "normalization_scope=volume"):
+            assert f"config train: {line}\n" in out

@@ -1,4 +1,4 @@
-"""Atomic replacement of NIfTI, checkpoint and train-state files."""
+"""Atomic replacement of every file the package writes."""
 
 import errno
 import io
@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from wmhseg import fileio
+from wmhseg.artifacts import sample_spec, write_sidecar
+from wmhseg.metrics import SegMetrics, write_metrics_csv
 from wmhseg.model import ModelConfig, init_parameters, save_checkpoint
 from wmhseg.nifti import Volume, write_nifti
+from wmhseg.phantom import ManifestEntry, write_manifest
 from wmhseg.training import TrainState, save_train_state
 
 
@@ -52,9 +55,22 @@ def _writers():
                               for k, p in params.items()})
         save_train_state(path, state, params)
 
+    def manifest(path, version):
+        write_manifest(path, [ManifestEntry(f"p{i}.nii", "clean", version, f"p{i}")
+                              for i in range(3)])
+
+    def sidecar(path, version):
+        write_sidecar(path, sample_spec("noise_bias", version))
+
+    def metrics_csv(path, version):
+        write_metrics_csv(path, [SegMetrics(f"p{i}", 0.1 * version, 5.0 * i, 4.0)
+                                 for i in range(3)])
+
     return [pytest.param(name, fn, id=name) for name, fn in
             [("vol.nii", nifti), ("vol.nii.gz", nifti),
-             ("last.ckpt", checkpoint), ("last.ckpt.state", train_state)]]
+             ("last.ckpt", checkpoint), ("last.ckpt.state", train_state),
+             ("manifest.csv", manifest), ("p0_noise_bias.nii.spec", sidecar),
+             ("metrics.csv", metrics_csv)]]
 
 
 @pytest.mark.parametrize("name,write", _writers())

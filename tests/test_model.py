@@ -38,16 +38,21 @@ def attn_params(c, reduction, heads, rng, dtype=np.float64):
     return p
 
 
-def standard_attention_oracle(tokens, p, heads):
-    """Plain full self-attention in numpy, independent of the tensor library."""
+def standard_attention_oracle(tokens, p, heads, kv=None):
+    """Plain full self-attention in numpy, independent of the tensor library.
+
+    Keys and values come from ``kv`` ([B,M,C]) when given, else from the
+    tokens themselves.
+    """
     b, n, c = tokens.shape
+    kv = tokens if kv is None else kv
     d = c // heads
     q = tokens @ p["q_weight"].data + p["q_bias"].data
-    k = tokens @ p["k_weight"].data + p["k_bias"].data
-    v = tokens @ p["v_weight"].data + p["v_bias"].data
+    k = kv @ p["k_weight"].data + p["k_bias"].data
+    v = kv @ p["v_weight"].data + p["v_bias"].data
 
     def split(x):
-        return x.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
+        return x.reshape(b, -1, heads, d).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(d)
@@ -56,6 +61,34 @@ def standard_attention_oracle(tokens, p, heads):
     w /= w.sum(axis=-1, keepdims=True)
     ctx = (w @ vh).transpose(0, 2, 1, 3).reshape(b, n, c)
     return ctx @ p["out_weight"].data + p["out_bias"].data
+
+
+def reduced_attention_oracle(tokens, h, w, p, reduction, heads, eps=1e-5):
+    """Spatial-reduction attention in plain numpy on [B,N,C] tokens.
+
+    Each sqrt(R) x sqrt(R) tile is flattened in (row, column, channel) order,
+    projected by ``sr_weight`` and layer-normalized over C; the shortened
+    sequence then feeds standard attention as keys and values.
+    """
+    b, n, c = tokens.shape
+    r = math.isqrt(reduction)
+    grid = tokens.reshape(b, h, w, c)
+    tiles = []
+    for ti in range(h // r):
+        for tj in range(w // r):
+            tile = grid[:, ti * r:(ti + 1) * r, tj * r:(tj + 1) * r, :]
+            tiles.append(tile.reshape(b, reduction * c))  # (row, col, channel)
+    red = np.stack(tiles, axis=1) @ p["sr_weight"].data + p["sr_bias"].data
+    mu = red.mean(axis=-1, keepdims=True)
+    var = ((red - mu) ** 2).mean(axis=-1, keepdims=True)
+    red = p["srnorm.gamma"].data * (red - mu) / np.sqrt(var + eps) \
+        + p["srnorm.beta"].data
+    return standard_attention_oracle(tokens, p, heads, kv=red)
+
+
+def cf(tokens):
+    """Swap [B,N,C] token-last arrays and [B,C,N] channel-first ones."""
+    return np.ascontiguousarray(np.swapaxes(tokens, 1, 2))
 
 
 class TestModelConfig:
@@ -85,7 +118,7 @@ class TestOverlapPatchEmbed:
         params = init_parameters(cfg, 0)
         x = Tensor(rng.uniform(0, 1, (1, 1, 256, 256)).astype(np.float32))
         tokens, h, w = overlap_patch_embed(x, params, cfg, 0)
-        assert (h, w) == (64, 64) and tokens.shape == (1, 4096, 32)
+        assert (h, w) == (64, 64) and cf(tokens.data).shape == (1, 4096, 32)
 
     def test_token_count_stage1(self):
         assert ModelConfig().stage_dims(0)[0] * ModelConfig().stage_dims(0)[1] == 4096
@@ -95,9 +128,9 @@ class TestOverlapPatchEmbed:
         params = init_parameters(cfg, 3)
         x = Tensor(np.zeros((2, 1, 32, 32), np.float32))
         tokens, h, w = overlap_patch_embed(x, params, cfg, 0)
-        first = tokens.data[:, :1, :]
-        np.testing.assert_allclose(tokens.data, np.broadcast_to(
-            first, tokens.shape), atol=1e-6)
+        first = cf(tokens.data)[:, :1, :]
+        np.testing.assert_allclose(cf(tokens.data), np.broadcast_to(
+            first, cf(tokens.data).shape), atol=1e-6)
 
     def test_input_smaller_than_kernel(self):
         cfg = ModelConfig.tiny()
@@ -112,14 +145,27 @@ class TestEfficientAttention:
         b, h, w, c, heads = 2, 8, 8, 16, 4
         tokens = rng.standard_normal((b, h * w, c)).astype(np.float32)
         p = attn_params(c, 1, heads, rng, dtype=np.float32)
-        got = efficient_attention(Tensor(tokens), h, w, p, 1, heads)
+        got = efficient_attention(Tensor(cf(tokens)), h, w, p, 1, heads)
         want = standard_attention_oracle(tokens.astype(np.float64),
                                          p, heads)
-        assert np.abs(got.data - want).max() < 1e-6
+        assert np.abs(cf(got.data) - want).max() < 1e-6
+
+    @pytest.mark.parametrize("reduction", [4, 16, 64])
+    def test_reduced_matches_token_last_oracle(self, rng, reduction):
+        b, h, w, c, heads = 2, 16, 16, 8, 2
+        tokens = rng.standard_normal((b, h * w, c))
+        p = attn_params(c, reduction, heads, rng)
+        p["srnorm.gamma"] = Tensor(1.0 + 0.5 * rng.standard_normal(c),
+                                   dtype=np.float64)
+        p["srnorm.beta"] = Tensor(0.5 * rng.standard_normal(c), dtype=np.float64)
+        got = efficient_attention(Tensor(cf(tokens), dtype=np.float64), h, w, p,
+                                  reduction, heads)
+        want = reduced_attention_oracle(tokens, h, w, p, reduction, heads)
+        assert np.abs(cf(got.data) - want).max() < 1e-12
 
     def test_kv_length_is_n_over_r(self, rng):
         n, c, r = 4096, 16, 64
-        tokens = Tensor(rng.standard_normal((1, n, c)).astype(np.float32))
+        tokens = Tensor(cf(rng.standard_normal((1, n, c)).astype(np.float32)))
         p = attn_params(c, r, 1, rng, dtype=np.float32)
         _, weights = efficient_attention(tokens, 64, 64, p, r, 1,
                                          return_weights=True)
@@ -130,14 +176,14 @@ class TestEfficientAttention:
         c = 8
         tokens = Tensor(rng.standard_normal((1, 1, c)).astype(np.float32))
         p = attn_params(c, 1, 2, rng, dtype=np.float32)
-        out, weights = efficient_attention(tokens, 1, 1, p, 1, 2,
+        out, weights = efficient_attention(Tensor(cf(tokens.data)), 1, 1, p, 1, 2,
                                            return_weights=True)
         np.testing.assert_array_equal(weights.data,
                                       np.ones_like(weights.data))
         # output is the out-projection of the value projection of the token
         v = tokens.data @ p["v_weight"].data + p["v_bias"].data
         want = v @ p["out_weight"].data + p["out_bias"].data
-        np.testing.assert_allclose(out.data, want, atol=1e-6)
+        np.testing.assert_allclose(cf(out.data), want, atol=1e-6)
 
     def test_weight_rows_sum_to_one_every_stage_and_head(self, rng):
         cfg = ModelConfig()
@@ -145,8 +191,8 @@ class TestEfficientAttention:
         for i in range(4):
             h, w = cfg.stage_dims(i)
             c = cfg.stage_channels[i]
-            tokens = Tensor(rng.standard_normal((2, h * w, c))
-                            .astype(np.float32))
+            tokens = Tensor(cf(rng.standard_normal((2, h * w, c))
+                               .astype(np.float32)))
             p = subparams(params, f"stage{i + 1}.block0.attn")
             _, wts = efficient_attention(tokens, h, w, p,
                                          cfg.reduction_factors[i],
@@ -157,7 +203,7 @@ class TestEfficientAttention:
 
     def test_r_not_dividing_grid_rejected(self, rng):
         c = 8
-        tokens = Tensor(rng.standard_normal((1, 12, c)).astype(np.float32))
+        tokens = Tensor(cf(rng.standard_normal((1, 12, c)).astype(np.float32)))
         p = attn_params(c, 4, 1, rng, dtype=np.float32)
         with pytest.raises(ConfigError):
             efficient_attention(tokens, 3, 4, p, 4, 1)
@@ -165,7 +211,7 @@ class TestEfficientAttention:
     def test_cost_scales_with_reduction(self, rng):
         c, heads = 16, 1
         n, h, w = 1024, 32, 32
-        tokens = Tensor(rng.standard_normal((1, n, c)).astype(np.float32))
+        tokens = Tensor(cf(rng.standard_normal((1, n, c)).astype(np.float32)))
         flops = {}
         for r in (1, 16):
             p = attn_params(c, r, heads, rng, dtype=np.float32)
@@ -180,9 +226,9 @@ class TestMixFfn:
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 4)
         h, w = 8, 8
-        tokens = Tensor(np.zeros((1, h * w, 8), np.float32))
+        tokens = Tensor(cf(np.zeros((1, h * w, 8), np.float32)))
         out = mix_ffn(tokens, h, w, subparams(params, "stage1.block0.ffn"))
-        grid = out.data.reshape(h, w, 8)
+        grid = cf(out.data).reshape(h, w, 8)
         # zero padding makes border positions differ; the interior is uniform
         interior = grid[1:-1, 1:-1]
         np.testing.assert_allclose(
@@ -195,8 +241,8 @@ class TestMixFfn:
         for i in range(4):
             h, w = cfg.stage_dims(i)
             c = cfg.stage_channels[i]
-            tokens = Tensor(rng.standard_normal((2, h * w, c))
-                            .astype(np.float32))
+            tokens = Tensor(cf(rng.standard_normal((2, h * w, c))
+                               .astype(np.float32)))
             out = mix_ffn(tokens, h, w,
                           subparams(params, f"stage{i + 1}.block0.ffn"))
             assert out.shape == tokens.shape
@@ -210,8 +256,8 @@ class TestMixFfn:
         swapped = base.copy()
         a, b = 2 * w + 2, 5 * w + 5  # grid positions (2,2) and (5,5)
         swapped[0, [a, b]] = swapped[0, [b, a]]
-        out_a = mix_ffn(Tensor(base), h, w, p).data.reshape(h, w, c)
-        out_b = mix_ffn(Tensor(swapped), h, w, p).data.reshape(h, w, c)
+        out_a = cf(mix_ffn(Tensor(cf(base)), h, w, p).data).reshape(h, w, c)
+        out_b = cf(mix_ffn(Tensor(cf(swapped)), h, w, p).data).reshape(h, w, c)
         diff = np.abs(out_a - out_b).max(axis=-1)
         assert diff[2, 3] > 1e-6 and diff[5, 4] > 1e-6  # neighbors affected
         assert diff[0, 7] < 1e-7                        # far corner untouched
@@ -298,12 +344,13 @@ class TestEncoderDecoder:
         zeroed = dict(p)
         zeroed["out_weight"] = Tensor(np.zeros((c, c), np.float32))
         zeroed["out_bias"] = Tensor(np.zeros(c, np.float32))
-        att0 = efficient_attention(normed, h, w, zeroed,
+        att0 = efficient_attention(normed.transpose(0, 2, 1), h, w, zeroed,
                                    cfg.reduction_factors[0], 1)
-        block_out = Tensor(tokens) + att0
+        block_out = Tensor(tokens) + att0.transpose(0, 2, 1)
         np.testing.assert_allclose(block_out.data, tokens, atol=1e-7)
         # with live attention, output differs from both branch and identity
-        att = efficient_attention(normed, h, w, p, cfg.reduction_factors[0], 1)
+        att = efficient_attention(normed.transpose(0, 2, 1), h, w, p,
+                                  cfg.reduction_factors[0], 1).transpose(0, 2, 1)
         full = Tensor(tokens) + att
         assert np.abs(full.data - tokens).max() > 1e-6
         assert np.abs(full.data - att.data).max() > 1e-6

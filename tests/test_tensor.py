@@ -248,6 +248,10 @@ class TestSoftmax:
         check_grad(lambda x: T.softmax(x, axis=-1),
                    rng.standard_normal((3, 6)), rng)
 
+    def test_gradient_axis_minus_2(self, rng):
+        check_grad(lambda x: T.softmax(x, axis=-2),
+                   rng.standard_normal((2, 3, 5, 4)), rng)
+
 
 class TestLayerNorm:
     def test_constant_row_zeros(self):
@@ -284,6 +288,30 @@ class TestLayerNorm:
                    rng.standard_normal((4, 6)), rng)
         x = Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
         check_grad(lambda g: T.layer_norm(x, g, beta), rng.standard_normal(6), rng)
+
+    def test_gradients_axis_1(self, rng):
+        c = 5
+        gamma = Tensor(rng.standard_normal(c), dtype=np.float64)
+        beta = Tensor(rng.standard_normal(c), dtype=np.float64)
+        x0 = rng.standard_normal((2, c, 7))
+        check_grad(lambda x: T.layer_norm(x, gamma, beta, axis=1), x0, rng)
+        x = Tensor(x0, dtype=np.float64)
+        check_grad(lambda g: T.layer_norm(x, g, beta, axis=1),
+                   rng.standard_normal(c), rng)
+        check_grad(lambda b: T.layer_norm(x, gamma, b, axis=1),
+                   rng.standard_normal(c), rng)
+
+    def test_axis_1_equals_last_axis_on_swapped_input(self, rng):
+        x = rng.standard_normal((2, 6, 9))
+        gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
+        got = T.layer_norm(Tensor(x, dtype=np.float64),
+                           Tensor(gamma, dtype=np.float64),
+                           Tensor(beta, dtype=np.float64), axis=1)
+        want = T.layer_norm(Tensor(x.swapaxes(1, 2), dtype=np.float64),
+                            Tensor(gamma, dtype=np.float64),
+                            Tensor(beta, dtype=np.float64))
+        np.testing.assert_allclose(got.data, want.data.swapaxes(1, 2), rtol=1e-12,
+                                   atol=1e-14)
 
 
 # ---- gelu ---------------------------------------------------------------------

@@ -67,9 +67,20 @@ def _field_rng(seed: int) -> np.random.Generator:
 
 
 def _num_bias_coeffs(order: int) -> int:
-    # monomials x^i y^j z^k with i+j+k <= order
-    return sum(1 for i in range(order + 1) for j in range(order + 1 - i)
-               for k in range(order + 1 - i - j))
+    """Number of monomials x^i y^j z^k with i+j+k <= order."""
+    return (order + 1) * (order + 2) * (order + 3) // 6
+
+
+def _bias_terms(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents (i, j, k) of the monomials of total degree <= order.
+
+    Three index arrays in coefficient order: i, then j, then k, each
+    ascending, which is ``np.indices`` order over the (order+1)^3 cube with
+    i+j+k > order left out.
+    """
+    i, j, k = np.indices((order + 1,) * 3).reshape(3, -1)
+    keep = i + j + k <= order
+    return i[keep], j[keep], k[keep]
 
 
 def sample_spec(kind: str, seed: int) -> ArtifactSpec:
@@ -96,8 +107,9 @@ def add_noise(vol: Volume, spec: ArtifactSpec) -> Volume:
         return vol.with_data(data.copy())
     sigma = spec.noise_std * float(data.max() - data.min())
     noise = _field_rng(spec.seed).normal(0.0, sigma, size=data.shape)
-    out = np.clip(data + noise, 0.0, None).astype(data.dtype)
-    return vol.with_data(out)
+    noise += data
+    np.maximum(noise, 0.0, out=noise)
+    return vol.with_data(noise.astype(data.dtype))
 
 
 def _normalized_coords(n: int) -> np.ndarray:
@@ -108,23 +120,23 @@ def _normalized_coords(n: int) -> np.ndarray:
 
 def bias_field(shape: tuple[int, int, int], order: int,
                coeffs: np.ndarray) -> np.ndarray:
-    """exp of a degree-<=order polynomial over [-1,1]^3 coordinates."""
+    """exp of a degree-<=order polynomial over [-1,1]^3 coordinates.
+
+    The polynomial is separable: with the coefficients scattered into an
+    (order+1)^3 cube C and one Vandermonde matrix V per axis, it is
+    sum_abc Vx[i,a] Vy[j,b] Vz[k,c] C[a,b,c]: one einsum whose only
+    full-volume array is its output. All-zero coefficients give exactly 1.
+    """
     expected = _num_bias_coeffs(order)
     if coeffs is None or len(coeffs) != expected:
         raise ValidationError(f"bias field of order {order} needs {expected} "
                               "coefficients")
-    xs = _normalized_coords(shape[0])[:, None, None]
-    ys = _normalized_coords(shape[1])[None, :, None]
-    zs = _normalized_coords(shape[2])[None, None, :]
-    poly = np.zeros(shape)
-    idx = 0
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            for k in range(order + 1 - i - j):
-                if coeffs[idx] != 0.0:
-                    poly = poly + coeffs[idx] * (xs ** i) * (ys ** j) * (zs ** k)
-                idx += 1
-    return np.exp(poly)
+    cube = np.zeros((order + 1,) * 3)
+    cube[_bias_terms(order)] = coeffs
+    vx, vy, vz = (np.vander(_normalized_coords(n), order + 1, increasing=True)
+                  for n in shape)
+    field = np.einsum("ia,jb,kc,abc->ijk", vx, vy, vz, cube, optimize=True)
+    return np.exp(field, out=field)
 
 
 def apply_bias_field(vol: Volume, spec: ArtifactSpec) -> Volume:
@@ -134,8 +146,9 @@ def apply_bias_field(vol: Volume, spec: ArtifactSpec) -> Volume:
     coeffs = spec.bias_coeffs
     if coeffs is None:
         coeffs = np.zeros(_num_bias_coeffs(spec.bias_order))
-    out = vol.data * bias_field(vol.shape, spec.bias_order, np.asarray(coeffs))
-    return vol.with_data(out.astype(vol.data.dtype))
+    field = bias_field(vol.shape, spec.bias_order, np.asarray(coeffs))
+    field *= vol.data
+    return vol.with_data(field.astype(vol.data.dtype))
 
 
 def _ghost_line_mask(n: int, count: int) -> np.ndarray:
@@ -208,15 +221,32 @@ def write_sidecar(path, spec: ArtifactSpec) -> None:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(c) for c in text.split(",")])
+
+
+# key -> (parser, test the parsed value must pass, what the test asks for);
+# a replayed spec drives allocations and RNG calls, so every value is checked
 _SIDECAR_FIELDS = {
-    "kind": str, "seed": int, "noise_std": float, "bias_order": int,
-    "bias_coeffs": lambda v: np.array([float(c) for c in v.split(",")]),
-    "ghost_count": int, "ghost_axis": str, "ghost_intensity": float,
+    "kind": (str, lambda v: v in KINDS, "one of " + ", ".join(KINDS)),
+    "seed": (int, lambda v: True, "an integer"),
+    "noise_std": (float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0"),
+    "bias_order": (int, lambda v: v >= 0, "an integer >= 0"),
+    "bias_coeffs": (_floats, lambda v: np.isfinite(v).all(),
+                    "comma-separated finite numbers"),
+    "ghost_count": (int, lambda v: v >= 1, "an integer >= 1"),
+    "ghost_axis": (str, lambda v: v in ("row", "col"), "row or col"),
+    "ghost_intensity": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
 }
 
 
 def read_sidecar(path) -> ArtifactSpec:
-    """Parse a sidecar written by :func:`write_sidecar`; unknown keys are ignored."""
+    """Parse a sidecar written by :func:`write_sidecar`; unknown keys are ignored.
+
+    Raises DataFormatError naming the file and the key for a missing or
+    out-of-range value, and for bias coefficients that do not match the
+    bias order.
+    """
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -232,11 +262,23 @@ def read_sidecar(path) -> ArtifactSpec:
         if key not in kv:
             raise DataFormatError(f"{path}: missing key '{key}'")
     fields = {}
-    for key, parse in _SIDECAR_FIELDS.items():
+    for key, (parse, valid, expected) in _SIDECAR_FIELDS.items():
         if key in kv:
             try:
-                fields[key] = parse(kv[key])
+                value = parse(kv[key])
             except ValueError:
+                value = None
+            if value is None or not valid(value):
                 raise DataFormatError(f"{path}: key '{key}' has invalid value "
-                                      f"{kv[key]!r}") from None
+                                      f"{kv[key]!r}, expected {expected}")
+            fields[key] = value
+    if fields["kind"] in ("bias", "noise_bias"):
+        if "bias_coeffs" not in fields:
+            raise DataFormatError(f"{path}: missing key 'bias_coeffs'")
+        order = fields.get("bias_order", BIAS_ORDER)
+        expected = _num_bias_coeffs(order)
+        if len(fields["bias_coeffs"]) != expected:
+            raise DataFormatError(
+                f"{path}: key 'bias_coeffs' has {len(fields['bias_coeffs'])} "
+                f"values, bias_order {order} needs {expected}")
     return ArtifactSpec(**fields)

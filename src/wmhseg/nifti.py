@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -153,8 +153,11 @@ def write_nifti(vol: Volume, path) -> None:
 
     The file is replaced atomically: a failed write leaves the old one.
     """
-    data = np.asarray(vol.data, dtype=np.float32)
-    nx, ny, nz = data.shape
+    nx, ny, nz = vol.data.shape
+    # float32 voxels, x fastest, in one copy; as a flat byte view its len()
+    # is its byte count, which is what a raw file's write() reports
+    voxels = np.asfortranarray(vol.data, dtype=np.float32).ravel(order="F") \
+        .view(np.uint8)
 
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
@@ -168,14 +171,16 @@ def write_nifti(vol: Volume, path) -> None:
         header[_XFORM_SPAN[0]:_XFORM_SPAN[1]] = vol.xform_raw
     header[344:348] = b"n+1\x00"
 
-    payload = bytes(header) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
+    header += b"\x00\x00\x00\x00"  # extension flag: none; voxels at VOX_OFFSET
     with atomic_write(path) as fh:
         if str(path).endswith(".gz"):
             # filename="" and mtime=0 keep the compressed bytes deterministic
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(payload)
+                gz.write(header)
+                gz.write(voxels)
         else:
-            fh.write(payload)
+            fh.write(header)
+            fh.write(voxels)
 
 
 def to_axial_slices(vol: Volume) -> list[np.ndarray]:
@@ -237,27 +242,9 @@ def unpreprocess_mask(mask: np.ndarray, original_dims: tuple[int, int]) -> np.nd
     return out
 
 
-@dataclass
-class SliceBatch:
-    """Preprocessed axial slices plus provenance back to source volumes."""
-    tensor: np.ndarray                                  # [B,1,T,T] in [0,1]
-    provenance: list[tuple[str, int]] = field(default_factory=list)
-    minmax: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.tensor.ndim != 4 or self.tensor.shape[1] != 1:
-            raise ValidationError(f"slice batch must be [B,1,H,W], got "
-                                  f"{self.tensor.shape}")
-        if self.tensor.min() < 0 or self.tensor.max() > 1:
-            raise ValidationError("slice batch values must be within [0,1]")
-        if len(self.provenance) != self.tensor.shape[0] \
-                or len(self.minmax) != self.tensor.shape[0]:
-            raise ValidationError("per-slice provenance/minmax incomplete")
-
-
-def make_slice_batch(vol: Volume, vol_id: str, target: int = 256,
-                     scope: str = "slice") -> SliceBatch:
-    """Preprocess a whole volume into a SliceBatch.
+def make_slice_batch(vol: Volume, target: int = 256,
+                     scope: str = "slice") -> np.ndarray:
+    """Preprocess a whole volume into a [B,1,target,target] float32 array in [0,1].
 
     ``scope`` selects normalization statistics: 'slice' (default) or
     'volume' (one foreground min/max shared by every slice).
@@ -265,10 +252,5 @@ def make_slice_batch(vol: Volume, vol_id: str, target: int = 256,
     if scope not in ("slice", "volume"):
         raise ValidationError(f"normalization scope must be slice|volume, got {scope}")
     vol_mm = foreground_minmax(vol.data) if scope == "volume" else None
-    slices, prov, mms = [], [], []
-    for k, sl in enumerate(to_axial_slices(vol)):
-        mm = vol_mm if vol_mm is not None else foreground_minmax(sl)
-        slices.append(preprocess_slice(sl, target, minmax=mm))
-        prov.append((vol_id, k))
-        mms.append(mm)
-    return SliceBatch(tensor=np.stack(slices)[:, None], provenance=prov, minmax=mms)
+    return np.stack([preprocess_slice(sl, target, minmax=vol_mm)
+                     for sl in to_axial_slices(vol)])[:, None]

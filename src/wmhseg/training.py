@@ -131,8 +131,7 @@ def load_slice_arrays(entries: Sequence[ManifestEntry], base_dir,
         if img.shape != ref.shape:
             raise ValidationError(f"{e.path}: image/mask shapes differ "
                                   f"({img.shape} vs {ref.shape})")
-        batch = make_slice_batch(img, e.path, target=target, scope=scope)
-        xs.append(batch.tensor)
+        xs.append(make_slice_batch(img, target=target, scope=scope))
         mask_slices = [np.where(
             crop_pad_slice(ref.data[:, :, k].astype(np.float32), target) > 0.5,
             1.0, 0.0)
@@ -315,11 +314,11 @@ def infer_volume(params, model_cfg: ModelConfig, vol, scope: str = "slice",
     single 256x256 slice fits in a core's L2 cache, a batch of them does not.
     """
     target = model_cfg.input_size[0]
-    batch = make_slice_batch(vol, "volume", target=target, scope=scope)
+    batch = make_slice_batch(vol, target=target, scope=scope)
     out = np.zeros(vol.shape, dtype=np.float32)
     for k in range(vol.shape[2]):
         with T.no_grad():
-            p = model_forward(Tensor(batch.tensor[k:k + 1]), params, model_cfg)
+            p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
         binary = (p.data[0, 0] >= threshold).astype(np.float32)
         out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
     return out

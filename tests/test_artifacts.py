@@ -6,13 +6,29 @@ import pytest
 from wmhseg.artifacts import (ArtifactSpec, KINDS, add_noise, apply_artifact,
                               apply_bias_field, apply_ghosting, bias_field,
                               corrupt_scan, read_sidecar, sample_spec,
-                              write_sidecar, _num_bias_coeffs)
+                              write_sidecar, _bias_terms, _num_bias_coeffs)
 from wmhseg.errors import ValidationError
 from wmhseg.nifti import Volume
 
 
 def make_vol(rng, shape=(24, 24, 4), spacing=(1.0, 1.0, 3.0)):
     return Volume(rng.uniform(0.1, 1.0, shape).astype(np.float32), spacing)
+
+
+def monomial_terms(order):
+    return [(i, j, k) for i in range(order + 1) for j in range(order + 1 - i)
+            for k in range(order + 1 - i - j)]
+
+
+def monomial_sum_field(shape, order, coeffs):
+    """Reference: one full-volume pass per monomial, then exp."""
+    xs, ys, zs = (np.zeros(1) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
+                  for n in shape)
+    xs, ys = xs[:, None, None], ys[:, None]
+    poly = np.zeros(shape)
+    for c, (i, j, k) in zip(coeffs, monomial_terms(order)):
+        poly = poly + c * xs ** i * ys ** j * zs ** k
+    return np.exp(poly)
 
 
 class TestNoise:
@@ -87,6 +103,29 @@ class TestBiasField:
                         val += spec.bias_coeffs[idx] * cx**i * cy**j * cz**k
                         idx += 1
             assert abs(field[x, y, z] - np.exp(val)) < 1e-12
+
+    def test_separable_field_matches_monomial_sum(self):
+        rng = np.random.default_rng(2024)
+        shapes = [(1, 7, 5), (6, 1, 4), (5, 4, 1), (1, 1, 1), (9, 4, 3),
+                  (13, 8, 2), (2, 11, 6)]
+        for n in range(21):
+            order = int(rng.integers(0, 6))
+            coeffs = rng.uniform(-0.5, 0.5, _num_bias_coeffs(order))
+            coeffs[rng.random(coeffs.size) < 0.2] = 0.0
+            shape = shapes[n % len(shapes)]
+            np.testing.assert_allclose(bias_field(shape, order, coeffs),
+                                       monomial_sum_field(shape, order, coeffs),
+                                       rtol=1e-12, atol=0)
+
+    def test_term_count_and_order_match_enumeration(self):
+        for order in range(13):
+            terms = monomial_terms(order)
+            assert _num_bias_coeffs(order) == len(terms)
+            assert list(zip(*(t.tolist() for t in _bias_terms(order)))) == terms
+
+    def test_wrong_coefficient_count_rejected(self):
+        with pytest.raises(ValidationError):
+            bias_field((4, 4, 2), 2, np.zeros(_num_bias_coeffs(3)))
 
 
 class TestGhosting:

@@ -3,6 +3,7 @@
 import csv
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestAugmentCommand:
         (b"seed=3\nghost_count=2\nghost_axis=row\nghost_intensity=0.5\n", "'kind'"),
         (b"kind=noise\nseed=abc\nnoise_std=0.05\n", "'seed'"),
         (b"kind=noise\nseed=3\nnoise_std=0.05\n\xff\n", "undecodable"),
+        (b"kind=noise\nseed=3\nnoise_std=-0.5\n", "'noise_std'"),
+        (b"kind=noise\nseed=3\nnoise_std=nan\n", "'noise_std'"),
+        (b"kind=noise\nseed=3\nnoise_std=inf\n", "'noise_std'"),
+        (b"kind=ghosting\nseed=3\nghost_count=2\nghost_axis=row\n"
+         b"ghost_intensity=1.5\n", "'ghost_intensity'"),
+        (b"kind=ghosting\nseed=3\nghost_count=2\nghost_axis=row\n"
+         b"ghost_intensity=nan\n", "'ghost_intensity'"),
+        (b"kind=ghosting\nseed=3\nghost_count=0\nghost_axis=row\n"
+         b"ghost_intensity=0.5\n", "'ghost_count'"),
+        (b"kind=ghosting\nseed=3\nghost_count=2\nghost_axis=diag\n"
+         b"ghost_intensity=0.5\n", "'ghost_axis'"),
+        (b"kind=bias\nseed=3\nbias_order=-1\nbias_coeffs=0.1\n", "'bias_order'"),
+        (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=0.1,nan,0.2,0.3\n",
+         "'bias_coeffs'"),
+        (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=0.1,0.2\n", "'bias_coeffs'"),
+        (b"kind=noise_bias\nseed=3\nnoise_std=0.05\nbias_order=1\n",
+         "'bias_coeffs'"),
+        (b"kind=sparkle\nseed=3\n", "'kind'"),
     ])
     def test_malformed_sidecar_data_error(self, dataset, tmp_path, capsys,
                                           text, needle):
@@ -126,6 +145,19 @@ class TestAugmentCommand:
         code = main(["augment", "--in", str(dataset / "phantom000.nii"),
                      "--replay", str(spec), "--out", str(tmp_path / "o.nii")])
         assert_one_line_data_error(code, capsys, str(spec), needle)
+
+    @pytest.mark.parametrize("coeffs", [b"", b"bias_coeffs=" + b"0.1," * 19 + b"0.1\n"],
+                             ids=["no-coeffs", "20-coeffs"])
+    def test_huge_bias_order_fails_fast(self, dataset, tmp_path, capsys, coeffs):
+        # the coefficient count of order 3000 is 4.5e9: it must be computed,
+        # never enumerated or allocated
+        spec = tmp_path / "huge.spec"
+        spec.write_bytes(b"kind=bias\nseed=3\nbias_order=3000\n" + coeffs)
+        start = time.perf_counter()
+        code = main(["augment", "--in", str(dataset / "phantom000.nii"),
+                     "--replay", str(spec), "--out", str(tmp_path / "o.nii")])
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_data_error(code, capsys, str(spec), "'bias_coeffs'")
 
     def test_ni1_magic_in_single_file_data_error(self, dataset, tmp_path,
                                                  capsys):

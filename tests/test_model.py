@@ -381,8 +381,8 @@ class TestModelForward:
         vol, mask = generate_phantom(PhantomConfig(
             size=(64, 64, 3), seed=7, num_lesions_range=(1, 3),
             lesion_radius_mm=(1.5, 2.5)))
-        batch = make_slice_batch(vol, "p", target=32)
-        probs = model_forward(Tensor(batch.tensor), params, cfg)
+        batch = make_slice_batch(vol, target=32)
+        probs = model_forward(Tensor(batch), params, cfg)
         assert np.isfinite(probs.data).all()
         pred = probs.data[:, 0] >= 0.5
         ref = np.stack([crop_pad_slice(mask.data[:, :, k], 32) > 0.5

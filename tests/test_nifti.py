@@ -167,6 +167,27 @@ class TestWriteNifti:
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(read_nifti(p1).data, vol.data)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "float64", "strided"])
+    def test_file_is_header_then_fortran_voxels(self, tmp_path, rng, layout):
+        base = rng.standard_normal((5, 4, 3)).clip(0, None)
+        data = {"C": base.astype(np.float32),
+                "F": np.asfortranarray(base, dtype=np.float32),
+                "float64": base,
+                "strided": np.repeat(base, 2, axis=1)[:, ::2].astype(np.float32)}[layout]
+        vol = Volume(data, (1, 1, 2))
+        plain, packed = tmp_path / "v.nii", tmp_path / "v.nii.gz"
+        write_nifti(vol, plain)
+        write_nifti(vol, packed)
+        blob = plain.read_bytes()
+        assert blob[348:352] == b"\x00" * 4
+        assert blob[352:] == base.astype(np.float32).tobytes(order="F")
+        # the gzip stream equals one compressed write of the whole file
+        ref = tmp_path / "ref.gz"
+        with open(ref, "wb") as fh, \
+                gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
+            gz.write(blob)
+        assert packed.read_bytes() == ref.read_bytes()
+
     def test_xform_block_preserved(self, tmp_path, rng):
         data = rng.standard_normal((3, 3, 3)).astype(np.float32).clip(0, None)
         raw = bytearray(build_nifti_bytes(data))
@@ -287,19 +308,35 @@ class TestUnpreprocess:
 
 
 class TestSliceBatch:
-    def test_batch_shape_provenance_and_bounds(self, rng):
+    def test_batch_shape_bounds_and_slice_normalisation(self, rng):
         data = rng.uniform(0, 100, (60, 70, 5)).astype(np.float32)
+        data[:, :, 2] *= 3.0  # slices with different foreground ranges
         vol = Volume(data, (1, 1, 2))
-        batch = make_slice_batch(vol, "volA", target=128)
-        assert batch.tensor.shape == (5, 1, 128, 128)
-        assert batch.tensor.min() >= 0.0 and batch.tensor.max() <= 1.0
-        assert batch.provenance == [("volA", k) for k in range(5)]
-        assert len(batch.minmax) == 5
+        batch = make_slice_batch(vol, target=128)
+        assert batch.shape == (5, 1, 128, 128) and batch.dtype == np.float32
+        assert batch.min() >= 0.0 and batch.max() <= 1.0
+        for k in range(5):
+            # each slice spans [0,1] over its own foreground
+            fg = batch[k, 0][crop_pad_slice(data[:, :, k], 128) != 0]
+            assert fg.min() == 0.0 and fg.max() == 1.0
+            np.testing.assert_array_equal(batch[k, 0],
+                                          preprocess_slice(data[:, :, k], 128))
 
     def test_volume_scope_uses_shared_stats(self, rng):
         data = rng.uniform(1, 9, (20, 20, 3)).astype(np.float32)
+        data[:, :, 1] *= 0.5  # this slice sits below the volume's maximum
         vol = Volume(data, (1, 1, 1))
-        batch = make_slice_batch(vol, "v", target=32, scope="volume")
-        assert len(set(batch.minmax)) == 1
-        per_slice = make_slice_batch(vol, "v", target=32, scope="slice")
-        assert len(set(per_slice.minmax)) == 3
+        batch = make_slice_batch(vol, target=32, scope="volume")
+        mn, mx = float(data.min()), float(data.max())
+        for k in range(3):
+            np.testing.assert_array_equal(
+                batch[k, 0], preprocess_slice(data[:, :, k], 32, minmax=(mn, mx)))
+        assert batch[1, 0].max() < 0.6 and batch.max() == 1.0
+        per_slice = make_slice_batch(vol, target=32, scope="slice")
+        assert per_slice[1, 0].max() == 1.0
+        assert not np.array_equal(batch[1], per_slice[1])
+
+    def test_unknown_scope_rejected(self, rng):
+        vol = Volume(rng.uniform(1, 9, (8, 8, 2)).astype(np.float32), (1, 1, 1))
+        with pytest.raises(ValidationError):
+            make_slice_batch(vol, target=8, scope="patient")

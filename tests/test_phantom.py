@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from wmhseg import phantom
 from wmhseg.errors import ValidationError
 from wmhseg.nifti import read_nifti
 from wmhseg.phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                             generate_phantom, manifest_dir, read_manifest,
-                            write_manifest)
+                            write_manifest, _ellipsoid_mask)
 
 SMALL = PhantomConfig(size=(48, 48, 6), seed=0, num_lesions_range=(1, 4),
                       lesion_radius_mm=(1.5, 3.0))
@@ -71,6 +72,54 @@ class TestGeneratePhantom:
         img, mask = generate_phantom(replace(SMALL, spacing=(0.9, 1.1, 2.5)))
         assert img.spacing == (0.9, 1.1, 2.5)
         assert mask.spacing == (0.9, 1.1, 2.5)
+
+
+def full_volume_mask(shape, spacing, center_mm, semi_mm):
+    """Reference: the ellipsoid test accumulated over the whole volume."""
+    grids = np.ogrid[: shape[0], : shape[1], : shape[2]]
+    rho = np.zeros(shape)
+    for g, sp, c, a in zip(grids, spacing, center_mm, semi_mm):
+        rho = rho + ((g * sp - c) / a) ** 2
+    return rho <= 1.0
+
+
+class TestBoxedPainting:
+    def test_box_mask_matches_full_volume(self, rng):
+        # centres inside, near and beyond the border; radii from under one
+        # voxel to several
+        for _ in range(400):
+            shape = tuple(int(n) for n in rng.integers(1, 20, 3))
+            spacing = tuple(float(s) for s in rng.choice([0.5, 0.9, 1.1, 2.5, 3.0], 3))
+            extent = np.array(shape) * spacing
+            center = rng.uniform(-0.3, 1.3, 3) * extent
+            semi = rng.uniform(0.4, 1.6, 3) * np.array(spacing) \
+                * rng.choice([1.0, 4.0], 3)
+            box, inside = _ellipsoid_mask(shape, spacing, center, semi)
+            painted = np.zeros(shape, dtype=bool)
+            painted[box] = inside
+            np.testing.assert_array_equal(
+                painted, full_volume_mask(shape, spacing, center, semi))
+
+    @pytest.mark.parametrize("cfg", [
+        SMALL,
+        # few thick slices: lesion boxes are clipped at both z borders
+        PhantomConfig(size=(40, 36, 3), spacing=(0.9, 1.1, 2.5),
+                      num_lesions_range=(3, 10), lesion_radius_mm=(0.8, 2.5)),
+        # radii near one voxel
+        PhantomConfig(size=(33, 47, 9), spacing=(0.7, 1.3, 2.0),
+                      num_lesions_range=(4, 12), lesion_radius_mm=(0.6, 1.4)),
+    ], ids=["small", "thick-slices", "one-voxel-radii"])
+    def test_generate_phantom_bit_identical_to_full_volume(self, monkeypatch, cfg):
+        def full_box(shape, spacing, center_mm, semi_mm):
+            return (tuple(slice(0, n) for n in shape),
+                    full_volume_mask(shape, spacing, center_mm, semi_mm))
+        for seed in range(6):
+            img, mask = generate_phantom(replace(cfg, seed=seed))
+            with monkeypatch.context() as m:
+                m.setattr(phantom, "_ellipsoid_mask", full_box)
+                ref_img, ref_mask = generate_phantom(replace(cfg, seed=seed))
+            assert img.data.tobytes() == ref_img.data.tobytes()
+            assert mask.data.tobytes() == ref_mask.data.tobytes()
 
 
 class TestGenerateDataset:

@@ -315,7 +315,7 @@ class TestInferVolume:
         params = init_parameters(cfg, 3)
         vol = Volume(data=rng.random((side, side, 5)).astype(np.float32),
                      spacing=(1.0, 1.0, 2.0))
-        x = make_slice_batch(vol, "v", target=32).tensor
+        x = make_slice_batch(vol, target=32)
         with T.no_grad():
             batched = model_forward(Tensor(x), params, cfg).data[:, 0]
             single = np.stack([model_forward(Tensor(x[k:k + 1]), params, cfg)

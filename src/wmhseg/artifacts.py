@@ -225,6 +225,16 @@ def _floats(text: str) -> np.ndarray:
     return np.array([float(c) for c in text.split(",")])
 
 
+_MAX_BIAS_EXPONENT = float(np.log(np.finfo(np.float32).max))
+
+
+def _bias_exponent_bounded(coeffs: np.ndarray) -> bool:
+    # |P| <= sum |c| on [-1,1]^3, so the bound keeps exp(P) finite in
+    # float32; each |c| is checked first so that the sum cannot overflow
+    mags = np.abs(coeffs)
+    return bool((mags <= _MAX_BIAS_EXPONENT).all()) \
+        and mags.sum() <= _MAX_BIAS_EXPONENT
+
 # key -> (parser, test the parsed value must pass, what the test asks for);
 # a replayed spec drives allocations and RNG calls, so every value is checked
 _SIDECAR_FIELDS = {
@@ -232,8 +242,9 @@ _SIDECAR_FIELDS = {
     "seed": (int, lambda v: True, "an integer"),
     "noise_std": (float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0"),
     "bias_order": (int, lambda v: v >= 0, "an integer >= 0"),
-    "bias_coeffs": (_floats, lambda v: np.isfinite(v).all(),
-                    "comma-separated finite numbers"),
+    "bias_coeffs": (_floats, _bias_exponent_bounded,
+                    f"comma-separated finite numbers whose absolute values sum "
+                    f"to at most {_MAX_BIAS_EXPONENT:.2f}"),
     "ghost_count": (int, lambda v: v >= 1, "an integer >= 1"),
     "ghost_axis": (str, lambda v: v in ("row", "col"), "row or col"),
     "ghost_intensity": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),

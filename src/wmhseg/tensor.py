@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ DEFAULT_DTYPE = np.float32
 
 _grad_enabled = True
 _flop_counters: list["FlopCounter"] = []
+_flop_lock = threading.Lock()
 
 
 @contextlib.contextmanager
@@ -48,24 +50,28 @@ def no_grad():
 class FlopCounter:
     """Counts floating-point operations executed by matmul/conv2d.
 
-    Use as a context manager; nested counters all observe the same ops.
+    Use as a context manager; nested counters all observe the same ops, on
+    every thread, and counts from concurrent ops are exact.
     """
 
     def __init__(self):
         self.flops = 0
 
     def __enter__(self):
-        _flop_counters.append(self)
+        with _flop_lock:
+            _flop_counters.append(self)
         return self
 
     def __exit__(self, *exc):
-        _flop_counters.remove(self)
+        with _flop_lock:
+            _flop_counters.remove(self)
         return False
 
 
 def _count_flops(n: int) -> None:
-    for c in _flop_counters:
-        c.flops += n
+    with _flop_lock:
+        for c in _flop_counters:
+            c.flops += n
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -447,7 +453,9 @@ def gelu(x: Tensor) -> Tensor:
         _erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
-    out = _make(x.data * cdf, (x,), "gelu")
+    # without a graph nothing reads cdf again, so the product overwrites it
+    graph = _grad_enabled and x.requires_grad
+    out = _make(np.multiply(x.data, cdf, out=None if graph else cdf), (x,), "gelu")
     if out.requires_grad:
         def backward():
             a = x.data
@@ -491,6 +499,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---- conv2d ----------------------------------------------------------------
 
 
+# padded input elements per channel block of the depthwise forward: the
+# block's padded copy and partial sums stay near 0.5 MB each in float32
+_DW_BLOCK = 1 << 17
+
+
 def _pair(v) -> tuple[int, int]:
     return (v, v) if isinstance(v, int) else (int(v[0]), int(v[1]))
 
@@ -505,24 +518,38 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     return cols
 
 
+def _tiles(a: np.ndarray, n: int, step: int, rows: int, row_step: int,
+           width: int) -> np.ndarray:
+    """[B,C,n,rows,width] view of a [B,C,H,W] array: element (q, y, m) of a
+    channel is a[y*row_step, q*step + m]. The caller keeps it in bounds."""
+    sb, sc, sh, sw = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (a.shape[0], a.shape[1], n, rows, width),
+        (sb, sc, step * sw, row_step * sh, sw))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0, groups: int = 1) -> Tensor:
     """2D cross-correlation with zero padding and optional channel groups.
 
     x: [B,Cin,H,W], weight: [Cout,Cin/groups,kh,kw], bias: [Cout] or None.
-    Depthwise convs (groups == Cin == Cout) are kh batched matmuls of the
-    input rows with banded [W+2p, Wout] matrices, one per kernel row and
-    channel; all others, 1x1 included, are im2col + matmul. FlopCounter
+    Depthwise convs (groups == Cin == Cout) split the output columns into
+    tiles of t (the largest divisor of Wout up to 16) and are kh batched
+    matmuls of each tile's input rows with one banded [(t-1)*s+kw, t]
+    matrix per kernel row and channel, shared by every tile. Dense stride-1
+    convs with padding < kernel, 1x1 included, are kh*kw GEMMs over shifted
+    slices of the flattened padded input, with no im2col buffer; the rest
+    (strided, grouped or padding >= kernel) are im2col + matmul. FlopCounter
     records the logical 2*B*Cout*(Cin/groups)*kh*kw*Hout*Wout in every case.
 
     Backward: depthwise convs take the input gradient from the same bands,
-    transposed, and the weight gradient from one einsum per tap; dense
+    transposed and gathered per tile of input columns, and the weight
+    gradient from one einsum per tap; dense
     stride-1 convs with padding < kernel take both gradients from one im2col
-    of the output gradient padded by k-1-p; the rest (strided, grouped or
-    padding >= kernel) recompute the input columns and scatter the input
-    gradient back with col2im. The backward closure keeps the padded input
-    and, for depthwise convs, the bands; no im2col buffer outlives the
-    forward pass.
+    of the output gradient padded by k-1-p; the rest recompute the input
+    columns and scatter the input gradient back with col2im. The backward
+    closure keeps the padded input of non-depthwise convs and the bands of
+    depthwise ones; no im2col buffer outlives the forward pass.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -541,21 +568,61 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                          f"{h + 2 * ph}x{w + 2 * pw}")
     _count_flops(2 * b * cout * cg * kh * kw * hout * wout)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     depthwise = cg == 1 and cout == cin == groups
-    transposed = groups == 1 and sh == sw == 1 and ph < kh and pw < kw
+    transposed = not depthwise and groups == 1 and sh == sw == 1 \
+        and ph < kh and pw < kw
+    # one spare zero row below the padded input keeps the last tap's
+    # flattened slice in bounds on the shifted-GEMM path
+    spare = 1 if transposed and kw > 1 else 0
+    pads = ((0, 0), (0, 0), (ph, ph + spare), (pw, pw))
+    # depthwise convs pad a block of channels at a time, and their backward
+    # pads again, so a padded copy of the whole input is never kept
+    xp = None if depthwise else np.pad(x.data, pads) if (ph or pw or spare) else x.data
 
     if depthwise:
-        # kernel row i of channel c as a banded [W+2p, Wout] matrix,
-        # band[i, c, o*sw + j, o] = w[c, i, j]: each output row is then kh
-        # batched GEMMs of the strided padded input rows with the bands
-        band = np.zeros((kh, cout, xp.shape[3], wout), dtype=x.dtype)
-        o = np.arange(wout)
+        # output tile q holds columns q*t .. q*t+t-1 and reads the tw padded
+        # input columns from q*t*sw; kernel row i of channel c is one banded
+        # matrix, band[i, c, o*sw + j, o] = w[c, i, j], for all tiles. Its
+        # leading [tw, t] block serves the forward; the input gradient reads
+        # it with e + f more columns (see backward)
+        t = max(d for d in range(1, min(wout, 16) + 1) if wout % d == 0)
+        e, f = max(0, (kw - 1 - pw) // sw), -(-pw // sw)
+        nt, tw = wout // t, (t - 1) * sw + kw
+        band = np.zeros((kh, cout, (t + e + f) * sw + kw, t + e + f), dtype=x.dtype)
+        o = np.arange(t + e + f)
         for j in range(kw):
             band[:, :, o * sw + j, o] = weight.data[:, 0, :, j].T[:, :, None]
-        data = np.matmul(xp[:, :, 0:sh * hout:sh], band[0])
-        for i in range(1, kh):
-            data += np.matmul(xp[:, :, i:i + sh * hout:sh], band[i])
+        data = np.empty((b, cout, hout, wout), dtype=x.dtype)
+        block = max(1, _DW_BLOCK // (b * (h + 2 * ph) * (w + 2 * pw)))
+        for c0 in range(0, cout, block):
+            cs = slice(c0, c0 + block)
+            xb = np.pad(x.data[:, cs], pads) if (ph or pw) else x.data[:, cs]
+            acc = _tiles(data[:, cs], nt, t, hout, 1, t)
+            np.matmul(_tiles(xb, nt, t * sw, hout, sh, tw),
+                      band[0, cs, None, :tw, :t], out=acc)
+            part = np.empty_like(acc) if kh > 1 else None
+            for i in range(1, kh):
+                np.matmul(_tiles(xb[:, :, i:], nt, t * sw, hout, sh, tw),
+                          band[i, cs, None, :tw, :t], out=part)
+                acc += part
+    elif transposed:
+        # tap (i, j) is one GEMM of its weights with the flattened padded
+        # input shifted by i*Wp + j: output pixel (y, x) lands in column
+        # y*Wp + x, and the Wp - Wout columns that wrap into the next row
+        # are dropped at the end
+        wp = xp.shape[3]
+        n = hout * wp
+        xf = xp.reshape(b, cin, -1)
+        taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+        wide = np.matmul(taps[0, 0], xf[:, :, :n])
+        part = np.empty_like(wide) if kh * kw > 1 else None
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    off = i * wp + j
+                    np.matmul(taps[i, j], xf[:, :, off:off + n], out=part)
+                    wide += part
+        data = np.ascontiguousarray(wide.reshape(b, cout, hout, wp)[..., :wout])
     else:
         cols = _im2col(xp, kh, kw, sh, sw, hout, wout) \
             .reshape(b, groups, cg * kh * kw, hout * wout)
@@ -573,20 +640,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
             if depthwise:
                 if weight.requires_grad:
+                    xpd = np.pad(x.data, pads) if (ph or pw) else x.data
                     dw = np.empty_like(weight.data)
                     for i in range(kh):
                         for j in range(kw):
-                            win = xp[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw]
+                            win = xpd[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw]
                             dw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, win)
                     weight._accumulate(dw, owned=True)
                 if x.requires_grad:
-                    # adjoint of the banded forward
-                    dxp = np.zeros_like(xp)
+                    # adjoint of the banded forward, gathered per tile of
+                    # the unpadded input columns: the t*sw columns from
+                    # pw + q*t*sw take their gradient from output columns
+                    # q*t-e .. q*t+t+f-1 (g padded by e on the left) through
+                    # band rows pw+e*sw .. pw+(e+t)*sw-1, transposed, so no
+                    # two tiles write the same column
+                    nq = -(-w // (t * sw))
+                    gp = np.pad(g, ((0, 0), (0, 0), (0, 0),
+                                    (e, max(0, nq * t + f - wout))))
+                    gw = _tiles(gp, nq, t, hout, 1, t + e + f)
+                    bt = band[:, :, pw + e * sw:pw + (e + t) * sw].swapaxes(-1, -2)
+                    rows = np.empty((b, cout, hout, nq * t * sw), dtype=g.dtype)
+                    dxr = np.zeros((b, cin, h + 2 * ph, w), dtype=g.dtype)
                     for i in range(kh):
-                        dxp[:, :, i:i + sh * hout:sh] += \
-                            np.matmul(g, band[i].swapaxes(-1, -2))
-                    x._accumulate(dxp[:, :, ph:ph + h, pw:pw + w]
-                                  if (ph or pw) else dxp, owned=True)
+                        np.matmul(gw, bt[i, :, None],
+                                  out=_tiles(rows, nq, t * sw, hout, 1, t * sw))
+                        dxr[:, :, i:i + sh * hout:sh] += rows[..., :w]
+                    x._accumulate(dxr[:, :, ph:ph + h] if ph else dxr, owned=True)
             elif transposed:
                 # gcols[b, (o,i,j), (y,x)] = g[b, o, y+i-qh, x+j-qw], g padded
                 # by q = k-1-p: the input gradient correlates it with the

@@ -18,9 +18,12 @@ parameters as read-only and may run concurrently across volumes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import os
 import struct
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import blas
 from . import tensor as T
 from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
 from .fileio import atomic_write
@@ -312,16 +316,54 @@ def infer_volume(params, model_cfg: ModelConfig, vol, scope: str = "slice",
 
     Slices go through the model one at a time: the largest activation of a
     single 256x256 slice fits in a core's L2 cache, a batch of them does not.
+    The slices run concurrently, each on one core: OpenBLAS is pinned to one
+    thread for the loop, and the calling thread plus (budget - 1) workers
+    take slice indices from one shared counter. The budget is the OpenBLAS
+    thread count in effect before (so ``WMHSEG_THREADS`` and
+    ``OPENBLAS_NUM_THREADS`` set it), capped by the usable CPUs and the
+    slice count. Each slice's result is independent of the budget. The
+    first error raised by any slice is re-raised here once all have stopped.
     """
     target = model_cfg.input_size[0]
     batch = make_slice_batch(vol, target=target, scope=scope)
     out = np.zeros(vol.shape, dtype=np.float32)
-    for k in range(vol.shape[2]):
-        with T.no_grad():
-            p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
-        binary = (p.data[0, 0] >= threshold).astype(np.float32)
-        out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
+    slices = vol.shape[2]
+    counter = itertools.count()
+    take = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            while not errors:
+                with take:
+                    k = next(counter)
+                if k >= slices:
+                    return
+                p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
+                binary = (p.data[0, 0] >= threshold).astype(np.float32)
+                out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    with blas.single_threaded() as blas_threads, T.no_grad():
+        budget = min(blas_threads, _usable_cpus(), slices)
+        # the calling thread is one of the workers: fresh threads would each
+        # keep freed memory in a heap arena of their own
+        workers = [threading.Thread(target=work) for _ in range(budget - 1)]
+        for t in workers:
+            t.start()
+        work()
+        for t in workers:
+            t.join()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,

@@ -134,6 +134,13 @@ class TestAugmentCommand:
         (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=0.1,nan,0.2,0.3\n",
          "'bias_coeffs'"),
         (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=0.1,0.2\n", "'bias_coeffs'"),
+        # finite, but exp of the polynomial overflows
+        (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=1e300,0,0,0\n",
+         "'bias_coeffs'"),
+        (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=1e308,1e308,0,0\n",
+         "'bias_coeffs'"),
+        (b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=30,30,30,0\n",
+         "'bias_coeffs'"),
         (b"kind=noise_bias\nseed=3\nnoise_std=0.05\nbias_order=1\n",
          "'bias_coeffs'"),
         (b"kind=sparkle\nseed=3\n", "'kind'"),
@@ -239,6 +246,23 @@ class TestSegmentCommand:
                          "--in", str(src), "--out", str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_nan_parameter_numeric_error_from_worker(self, dataset, checkpoint,
+                                                     tmp_path, capsys):
+        # every slice fails in whichever thread runs it; the error comes back
+        # to the calling thread as one line and exit 3, with no output file
+        params, cfg = load_checkpoint(checkpoint)
+        params["decoder.head.bias"].data[:] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, params, cfg)
+        capsys.readouterr()
+        out = tmp_path / "o.nii"
+        code = main(["segment", "--checkpoint", str(bad),
+                     "--in", str(dataset / "phantom000.nii"), "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "non-finite" in lines[0], lines
+        assert not out.exists()
 
     def test_missing_input_data_error(self, checkpoint, tmp_path):
         code = main(["segment", "--checkpoint", str(checkpoint),

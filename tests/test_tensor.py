@@ -181,6 +181,57 @@ class TestConv2d:
         check_grad(lambda v: T.conv2d(x, v, b, stride=1, padding=padding),
                    w0, rng)
 
+    @pytest.mark.parametrize("kernel,padding", [
+        pytest.param((3, 3), 0, id="0"), pytest.param((3, 3), 1, id="1"),
+        pytest.param((3, 3), 3, id="3"),
+        pytest.param((3, 2), (1, 0), id="k3x2-p1x0"),
+        pytest.param((1, 3), (0, 1), id="k1x3-p0x1"),
+        pytest.param((2, 3), (1, 2), id="k2x3-p1x2"),
+        pytest.param((1, 1), 0, id="k1x1-p0")])
+    @pytest.mark.parametrize("cin,cout", [(5, 2), (2, 5)])
+    def test_stride1_forward_against_oracle(self, rng, kernel, padding, cin, cout):
+        # padding < kernel runs the shifted-GEMM forward, whose wrapped
+        # columns must all be dropped; padding 3 runs im2col
+        w = rng.standard_normal((cout, cin) + kernel)
+        bias = rng.standard_normal(cout)
+        x = rng.standard_normal((2, cin, 5, 7))
+        got = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
+                       Tensor(bias, dtype=np.float64), stride=1, padding=padding)
+        ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        want = conv2d_oracle(xp, w, bias, 1, 0)
+        assert got.shape == want.shape
+        assert rel_err(got.data, want) < 1e-10
+
+    # output widths 20, 33 and 40 split into tiles of 10, 11 and 10 columns;
+    # a 1x1 kernel at stride 2 leaves input columns no output reads
+    @pytest.mark.parametrize("wout", [20, 33, 40])
+    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (2, 1)])
+    def test_depthwise_wide_forward_and_input_gradient(self, rng, wout, stride, k):
+        b, c, h, p = 2, 3, 5, 1
+        w = (wout - 1) * stride + k - 2 * p
+        x = rng.standard_normal((b, c, h, w))
+        wt = rng.standard_normal((c, 1, k, k))
+        bias = rng.standard_normal(c)
+        xt = Tensor(x, dtype=np.float64, requires_grad=True)
+        out = T.conv2d(xt, Tensor(wt, dtype=np.float64),
+                       Tensor(bias, dtype=np.float64), stride=stride, padding=p,
+                       groups=c)
+        want = conv2d_oracle(x, wt, bias, stride, p, groups=c)
+        assert out.shape == want.shape and out.shape[3] == wout
+        assert rel_err(out.data, want) < 1e-10
+        # the conv is linear in x: the input gradient of sum(out * probe)
+        # is the adjoint applied to probe, summed tap by tap
+        probe = rng.standard_normal(out.shape)
+        (out * Tensor(probe, dtype=np.float64)).sum().backward()
+        dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        hout = out.shape[2]
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += \
+                    probe * wt[None, :, 0, i, j, None, None]
+        assert rel_err(xt.grad, dxp[:, :, p:p + h, p:p + w]) < 1e-10
+
     def test_depthwise_weight_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 5, 6)), dtype=np.float64)
         check_grad(lambda v: T.conv2d(x, v, None, padding=1, groups=3),

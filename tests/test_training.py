@@ -1,14 +1,20 @@
 """Trainer: splits, Adam oracle, scheduler contract, loops, reproducibility."""
 
+import contextlib
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import wmhseg.training as training
+from wmhseg import blas
+from wmhseg import tensor as T
 from wmhseg.errors import (ConfigError, DataFormatError, NumericsError,
                            ValidationError)
-from wmhseg.model import ModelConfig, init_parameters
+from wmhseg.model import ModelConfig, init_parameters, model_forward
+from wmhseg.nifti import Volume, make_slice_batch, unpreprocess_mask
 from wmhseg.phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                             manifest_dir, read_manifest)
 from wmhseg.tensor import Tensor
@@ -391,3 +397,149 @@ class TestEvaluate:
                               manifest_dir(dataset), per_slice=True)
         n_clean = sum(1 for e in entries if e.role == "clean")
         assert len(metrics) == n_clean + n_clean * PHANTOM.size[2]
+
+
+def _blas_threads():
+    return min((int(get()) for get, _ in blas._controls()), default=1)
+
+
+def _force_budget(monkeypatch, n):
+    """Run infer_volume with ``n`` threads whatever the BLAS and CPU counts."""
+    @contextlib.contextmanager
+    def pinned():
+        yield n
+    monkeypatch.setattr(blas, "single_threaded", pinned)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: n)
+
+
+def _record_forwards(monkeypatch):
+    """Wrap the model_forward that infer_volume calls; returns the log of
+    (input bytes, probabilities, thread id, BLAS threads) per call."""
+    log = []
+    inner = training.model_forward
+
+    def forward(image, params, cfg):
+        p = inner(image, params, cfg)
+        log.append((image.data.tobytes(), p.data.copy(), threading.get_ident(),
+                    _blas_threads()))
+        return p
+    monkeypatch.setattr(training, "model_forward", forward)
+    return log
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every loaded OpenBLAS at 2 threads for the test, restored after."""
+    controls = blas._controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield
+    for (_, set_), n in zip(controls, saved):
+        set_(n)
+
+
+class TestSliceParallelInference:
+    @staticmethod
+    def per_slice(params, cfg, vol):
+        """The plain loop: one model_forward per slice on the calling thread."""
+        x = make_slice_batch(vol, target=cfg.input_size[0])
+        with T.no_grad():
+            probs = [model_forward(Tensor(x[k:k + 1]), params, cfg).data[0, 0]
+                     for k in range(len(x))]
+        return np.stack([unpreprocess_mask((p >= 0.5).astype(np.float32),
+                                           vol.shape[:2]) for p in probs], axis=-1)
+
+    @staticmethod
+    def volume(side, slices, seed=0):
+        data = np.random.default_rng(seed).random((side, side, slices))
+        return Volume(data=data.astype(np.float32), spacing=(1.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("budget", [1, 3, None], ids=["1", "3", "blas"])
+    @pytest.mark.parametrize("slices", [1, 3, 5])
+    @pytest.mark.parametrize("side", [28, 36])  # padded / cropped to 32
+    def test_masks_equal_plain_loop(self, monkeypatch, side, slices, budget):
+        if budget is not None:
+            _force_budget(monkeypatch, budget)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        vol = self.volume(side, slices)
+        want = self.per_slice(params, cfg, vol)
+        assert 0 < want.mean() < 1  # both classes present
+        got = training.infer_volume(params, cfg, vol)
+        assert got.shape == vol.shape and got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    def test_budget_one_and_two_bit_identical(self, monkeypatch, blas_at_two):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 4)
+        vol = self.volume(36, 6, seed=1)
+        log = _record_forwards(monkeypatch)
+        runs = []
+        for threads in (1, 2):
+            for _, set_ in blas._controls():
+                set_(threads)
+            log.clear()
+            mask = training.infer_volume(params, cfg, vol)
+            assert all(n == 1 for *_, n in log)  # pinned inside the loop
+            assert len({ident for _, _, ident, _ in log}) <= threads
+            assert _blas_threads() == threads
+            runs.append((mask, {x: p for x, p, _, _ in log}))
+        (mask1, probs1), (mask2, probs2) = runs
+        assert np.array_equal(mask1, mask2)
+        assert probs1.keys() == probs2.keys() and len(probs1) == 6
+        assert all(np.array_equal(probs1[x], probs2[x]) for x in probs1)
+
+    def test_without_openblas_runs_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(blas, "_controls", lambda: [])
+        log = _record_forwards(monkeypatch)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        vol = self.volume(28, 4)
+        mask = training.infer_volume(params, cfg, vol)
+        assert {ident for _, _, ident, _ in log} == {threading.get_ident()}
+        monkeypatch.undo()
+        assert np.array_equal(mask, self.per_slice(params, cfg, vol))
+
+    def test_nan_parameter_raises_from_worker(self, monkeypatch):
+        _force_budget(monkeypatch, 3)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        params["decoder.head.bias"].data[:] = np.nan
+        threads_before = threading.active_count()
+        with pytest.raises(NumericsError, match="non-finite"):
+            training.infer_volume(params, cfg, self.volume(28, 5))
+        assert threading.active_count() == threads_before
+
+    def test_blas_threads_restored(self, blas_at_two):
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        vol = self.volume(28, 3)
+        training.infer_volume(params, cfg, vol)
+        assert _blas_threads() == 2
+        params["decoder.head.bias"].data[:] = np.nan
+        with pytest.raises(NumericsError):
+            training.infer_volume(params, cfg, vol)
+        assert _blas_threads() == 2
+
+    def test_flop_count_exact_under_workers(self, monkeypatch):
+        # more workers than cores and frequent thread switches: a lost
+        # update to the shared count would show as a shortfall
+        _force_budget(monkeypatch, 4)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        vol = self.volume(32, 8)
+        with T.no_grad(), T.FlopCounter() as one:
+            model_forward(Tensor(make_slice_batch(vol, target=32)[:1]), params, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with T.FlopCounter() as total:
+                training.infer_volume(params, cfg, vol)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.flops > 0
+        assert total.flops == 8 * one.flops

@@ -19,8 +19,8 @@ from .model import (ModelConfig, decoder_forward, efficient_attention,
                     encoder_forward, init_parameters, load_checkpoint,
                     mix_ffn, model_forward, overlap_patch_embed,
                     parameter_count, save_checkpoint)
-from .nifti import (Volume, make_slice_batch, preprocess_slice, read_nifti,
-                    to_axial_slices, unpreprocess_mask, write_nifti)
+from .nifti import (Volume, make_slice_batch, read_nifti, unpreprocess_mask,
+                    write_nifti)
 from .phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                       generate_phantom, read_manifest, write_manifest)
 from .tensor import (GradTape, Tensor, concat, conv2d, gelu, layer_norm,

@@ -58,14 +58,6 @@ class ArtifactSpec:
                                   f"valid kinds: {', '.join(KINDS)}")
 
 
-def _param_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, 0))
-
-
-def _field_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, 1))
-
-
 def _num_bias_coeffs(order: int) -> int:
     """Number of monomials x^i y^j z^k with i+j+k <= order."""
     return (order + 1) * (order + 2) * (order + 3) // 6
@@ -85,7 +77,7 @@ def _bias_terms(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sample_spec(kind: str, seed: int) -> ArtifactSpec:
     """Draw an ArtifactSpec with parameters from the default ranges."""
-    rng = _param_rng(seed)
+    rng = np.random.default_rng(derive_seed(seed, 0))
     spec = ArtifactSpec(kind=kind, seed=seed)
     if kind in ("noise", "noise_bias"):
         spec.noise_std = float(rng.uniform(*NOISE_STD_RANGE))
@@ -106,7 +98,8 @@ def add_noise(vol: Volume, spec: ArtifactSpec) -> Volume:
     if spec.noise_std == 0.0:
         return vol.with_data(data.copy())
     sigma = spec.noise_std * float(data.max() - data.min())
-    noise = _field_rng(spec.seed).normal(0.0, sigma, size=data.shape)
+    noise = np.random.default_rng(derive_seed(spec.seed, 1)).normal(
+        0.0, sigma, size=data.shape)
     noise += data
     np.maximum(noise, 0.0, out=noise)
     return vol.with_data(noise.astype(data.dtype))
@@ -147,8 +140,13 @@ def apply_bias_field(vol: Volume, spec: ArtifactSpec) -> Volume:
     if coeffs is None:
         coeffs = np.zeros(_num_bias_coeffs(spec.bias_order))
     field = bias_field(vol.shape, spec.bias_order, np.asarray(coeffs))
-    field *= vol.data
-    return vol.with_data(field.astype(vol.data.dtype))
+    try:
+        with np.errstate(over="raise"):
+            field *= vol.data
+            return vol.with_data(field.astype(vol.data.dtype))
+    except FloatingPointError:
+        raise ValidationError("bias field times the volume overflows "
+                              f"{vol.data.dtype}") from None
 
 
 def _ghost_line_mask(n: int, count: int) -> np.ndarray:

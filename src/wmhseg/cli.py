@@ -122,23 +122,15 @@ _MODEL_KEYS = ("stage_channels", "stage_depths", "reduction_factors",
 
 
 def _model_config(cfg: dict):
+    from dataclasses import replace
     from .model import ModelConfig
-    kwargs = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
+    presets = {"default": ModelConfig, "reduced": ModelConfig.reduced,
+               "tiny": ModelConfig.tiny}
     preset = cfg.get("model", "default")
-    if preset == "reduced":
-        base = ModelConfig.reduced()
-    elif preset == "tiny":
-        base = ModelConfig.tiny()
-    elif preset == "default":
-        base = ModelConfig()
-    else:
+    if preset not in presets:
         raise ValueError(f"unknown model preset '{preset}'")
-    if kwargs:
-        from dataclasses import asdict
-        merged = asdict(base)
-        merged.update(kwargs)
-        return ModelConfig(**merged)
-    return base
+    return replace(presets[preset](),
+                   **{k: cfg[k] for k in _MODEL_KEYS if k in cfg})
 
 
 # ---- subcommands -------------------------------------------------------------

@@ -20,8 +20,6 @@ class SegMetrics:
     dice_score: float
     lesion_volume_pred: float  # mm^3
     lesion_volume_ref: float   # mm^3
-    voxels_pred: int = 0
-    voxels_ref: int = 0
 
 
 def dice_score(pred_mask: np.ndarray, ref_mask: np.ndarray) -> float:

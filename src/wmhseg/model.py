@@ -23,7 +23,8 @@ Attention heads split along C and the scores are laid out [B,heads,M,N]
 
 Checkpoint container: magic ``WMHS``, u32 format version, JSON-serialized
 config, then per parameter (path, shape, raw little-endian float32 values).
-Round-trips are bit-exact; a save replaces the file atomically.
+The config's ``normalization_scope`` is the one inference uses ('slice' if
+absent). Round-trips are bit-exact; a save replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,14 +61,25 @@ class ModelConfig:
     input_size: tuple[int, int] = (256, 256)
     in_channels: int = 1
     out_channels: int = 1
+    normalization_scope: str = "slice"  # input min-max per slice|volume
 
     def __post_init__(self):
         for name in ("stage_channels", "stage_depths", "reduction_factors",
                      "num_heads", "decoder_channels", "input_size"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        self.validate()
-
-    def validate(self) -> None:
+        if self.normalization_scope not in ("slice", "volume"):
+            raise ConfigError("normalization_scope must be slice|volume, got "
+                              f"{self.normalization_scope!r}")
+        stages = (self.stage_channels, self.stage_depths, self.reduction_factors,
+                  self.num_heads, self.decoder_channels)
+        # the preprocessing makes one square channel; inference reads one map
+        if any(len(t) != 4 for t in stages) or len(self.input_size) != 2 \
+                or not all(isinstance(v, int) and v >= 1 for v in
+                           sum(stages, self.input_size + (self.ffn_expansion,))) \
+                or self.input_size[0] != self.input_size[1] \
+                or (self.in_channels, self.out_channels) != (1, 1):
+            raise ConfigError("sizes must be positive integers, 4 per stage, with "
+                              "a square 1-channel input and a 1-channel output")
         for i in range(4):
             c, heads, r = self.stage_channels[i], self.num_heads[i], \
                 self.reduction_factors[i]
@@ -103,9 +116,6 @@ class ModelConfig:
         return cls(stage_channels=(8, 8, 8, 8), stage_depths=(1, 1, 1, 1),
                    num_heads=(1, 2, 4, 8), decoder_channels=(8, 8, 8, 8),
                    input_size=(32, 32))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---- parameter registry -----------------------------------------------------
@@ -189,16 +199,6 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in parameter_specs(config))
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    """Normal(0, std) resampled until all draws are within 2 sigma."""
-    out = rng.standard_normal(shape)
-    bad = np.abs(out) > 2.0
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > 2.0
-    return out * std
-
-
 def init_parameters(config: ModelConfig, seed: int,
                     dtype=np.float32) -> dict[str, Tensor]:
     """Deterministic parameter initialization for a given seed."""
@@ -208,8 +208,13 @@ def init_parameters(config: ModelConfig, seed: int,
         if kind == "conv":
             fan_in = int(np.prod(shape[1:]))
             arr = rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
-        elif kind == "proj":
-            arr = _trunc_normal(rng, shape, 0.02)
+        elif kind == "proj":  # normal(0, 0.02), redrawn until within 2 sigma
+            arr = rng.standard_normal(shape)
+            bad = np.abs(arr) > 2.0
+            while bad.any():
+                arr[bad] = rng.standard_normal(int(bad.sum()))
+                bad = np.abs(arr) > 2.0
+            arr *= 0.02
         elif kind == "ones":
             arr = np.ones(shape)
         else:
@@ -379,20 +384,23 @@ def model_forward(image: Tensor, params: dict[str, Tensor],
 # ---- checkpoint container ---------------------------------------------------
 
 
-def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> None:
-    cfg = config.to_json().encode("utf-8")
+def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> int:
+    """Write the container atomically; returns the CRC-32 of its bytes."""
+    cfg = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(cfg)),
+              cfg, struct.pack("<I", len(params))]
+    for name, p in params.items():
+        enc = name.encode("utf-8")
+        # the values as a flat byte view of the parameter, not a copy
+        chunks += [struct.pack("<H", len(enc)), enc,
+                   struct.pack(f"<B{p.ndim}I", p.ndim, *p.shape),
+                   np.ascontiguousarray(p.data, dtype="<f4").reshape(-1).view(np.uint8)]
+    crc = 0
     with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg)))
-        fh.write(cfg)
-        fh.write(struct.pack("<I", len(params)))
-        for name, p in params.items():
-            enc = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", p.ndim))
-            fh.write(struct.pack(f"<{p.ndim}I", *p.shape))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+    return crc
 
 
 class BlobReader:

@@ -11,7 +11,8 @@ round-trips are bit-exact for float32 data.
 
 Preprocessing contract: axial slices are center-cropped or zero-padded to a
 square target (extra pad voxel on the high side for odd remainders), then
-min-max normalized over the nonzero foreground so padding stays exactly 0;
+min-max normalized over the nonzero foreground of the slice or of the whole
+volume (the checkpoint's normalization scope), so padding stays exactly 0;
 constant slices map to all zeros. The z axis is used as the slice axis
 without reorientation.
 
@@ -183,11 +184,6 @@ def write_nifti(vol: Volume, path) -> None:
             fh.write(voxels)
 
 
-def to_axial_slices(vol: Volume) -> list[np.ndarray]:
-    """Index-ordered 2D slices along the z axis."""
-    return [vol.data[:, :, k] for k in range(vol.data.shape[2])]
-
-
 def _crop_pad_bounds(extent: int, target: int) -> tuple[slice, slice]:
     """(source slice, destination slice) for one axis of a center crop/pad."""
     if extent >= target:
@@ -197,36 +193,14 @@ def _crop_pad_bounds(extent: int, target: int) -> tuple[slice, slice]:
     return slice(0, extent), slice(lo, lo + extent)
 
 
-def crop_pad_slice(arr: np.ndarray, target: int = 256) -> np.ndarray:
-    """Center crop/zero-pad a 2D array to target x target, without rescaling."""
-    out = np.zeros((target, target), dtype=arr.dtype)
-    sx, dx = _crop_pad_bounds(arr.shape[0], target)
-    sy, dy = _crop_pad_bounds(arr.shape[1], target)
-    out[dx, dy] = arr[sx, sy]
+def crop_pad_volume(data: np.ndarray, target: int) -> np.ndarray:
+    """Center crop/zero-pad every axial slice of (x, y, z) data, without
+    rescaling: a [z, target, target] float32 stack."""
+    out = np.zeros((data.shape[2], target, target), dtype=np.float32)
+    sx, dx = _crop_pad_bounds(data.shape[0], target)
+    sy, dy = _crop_pad_bounds(data.shape[1], target)
+    out[:, dx, dy] = data[sx, sy].transpose(2, 0, 1)
     return out
-
-
-def foreground_minmax(arr: np.ndarray) -> tuple[float, float]:
-    """(min, max) over nonzero voxels; (0, 0) if there is no foreground."""
-    fg = arr[arr != 0]
-    if fg.size == 0:
-        return 0.0, 0.0
-    return float(fg.min()), float(fg.max())
-
-
-def preprocess_slice(arr: np.ndarray, target: int = 256,
-                     minmax: Optional[tuple[float, float]] = None) -> np.ndarray:
-    """Crop/pad to target and normalize foreground intensities into [0,1].
-
-    ``minmax`` overrides the per-slice foreground statistics (used for
-    volume-scope normalization); zero voxels, including padding, stay 0.
-    """
-    mn, mx = foreground_minmax(arr) if minmax is None else minmax
-    out = crop_pad_slice(np.asarray(arr, dtype=np.float32), target)
-    if mx <= mn:
-        return np.zeros_like(out)
-    scaled = np.clip((out - mn) / (mx - mn), 0.0, 1.0)
-    return np.where(out != 0, scaled, 0.0).astype(np.float32)
 
 
 def unpreprocess_mask(mask: np.ndarray, original_dims: tuple[int, int]) -> np.ndarray:
@@ -246,11 +220,27 @@ def make_slice_batch(vol: Volume, target: int = 256,
                      scope: str = "slice") -> np.ndarray:
     """Preprocess a whole volume into a [B,1,target,target] float32 array in [0,1].
 
-    ``scope`` selects normalization statistics: 'slice' (default) or
-    'volume' (one foreground min/max shared by every slice).
+    ``scope`` selects the foreground statistics: 'slice' (default, each
+    slice's own) or 'volume' (one min/max shared by every slice). They are
+    taken over the source voxels, before the crop.
     """
     if scope not in ("slice", "volume"):
         raise ValidationError(f"normalization scope must be slice|volume, got {scope}")
-    vol_mm = foreground_minmax(vol.data) if scope == "volume" else None
-    return np.stack([preprocess_slice(sl, target, minmax=vol_mm)
-                     for sl in to_axial_slices(vol)])[:, None]
+
+    def foreground_range(a):
+        fg = a[a != 0]
+        return (float(fg.min()), float(fg.max())) if fg.size else (0.0, 0.0)
+
+    batch = crop_pad_volume(vol.data, target)
+    shared = foreground_range(vol.data) if scope == "volume" else None
+    for k, out in enumerate(batch):
+        mn, mx = shared if shared is not None else foreground_range(vol.data[:, :, k])
+        if mx <= mn:
+            out[...] = 0.0
+            continue
+        background = out == 0
+        out -= mn
+        out /= mx - mn
+        np.clip(out, 0.0, 1.0, out=out)
+        out[background] = 0.0
+    return batch[:, None]

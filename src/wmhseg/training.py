@@ -6,10 +6,12 @@ never leak across partitions. Runs are bitwise reproducible for a fixed
 (epoch, train_loss, val_loss, lr, wall_time) where wall_time is the one
 measured, non-reproducible column.
 
-Checkpoints use the model container; optimizer state for resuming lives in
-a sibling ``.state`` file (magic ``WMHT``) holding the Adam moments, the
-scheduler counters and the shuffling RNG state. Both files are replaced
-atomically, so a failed write leaves the previous one intact.
+Checkpoints use the model container, whose config records the training
+normalization scope that inference follows. Optimizer state for resuming
+lives in a sibling ``.state`` file (magic ``WMHT``) holding the Adam moments,
+the scheduler counters, the shuffling RNG state and the CRC-32 of its
+checkpoint. Both files are replaced atomically; resuming refuses a pair
+torn by a crash between the two writes.
 
 Parameter updates are single-writer between batches; evaluation treats
 parameters as read-only and may run concurrently across volumes.
@@ -25,7 +27,8 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,7 +42,7 @@ from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
 from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
                     model_forward, save_checkpoint)
-from .nifti import crop_pad_slice, make_slice_batch, read_nifti, unpreprocess_mask
+from .nifti import crop_pad_volume, make_slice_batch, read_nifti, unpreprocess_mask
 from .phantom import ManifestEntry, manifest_dir, read_manifest
 from .seeding import derive_seed
 from .tensor import Tensor
@@ -62,7 +65,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     include_artifacts: bool = True     # False trains on clean scans only
-    normalization_scope: str = "slice"
+    normalization_scope: str = "slice"  # copied into the saved ModelConfig
 
     def __post_init__(self):
         if not 0.0 < self.split_ratio < 1.0:
@@ -85,6 +88,7 @@ class TrainState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     rng: Optional[np.random.Generator] = None
+    checkpoint_crc: Optional[int] = None  # CRC-32 of the paired checkpoint
 
 
 # ---- dataset handling -----------------------------------------------------
@@ -121,26 +125,30 @@ def _image_entries(entries: Sequence[ManifestEntry], sources: set[str],
 
 
 def load_slice_arrays(entries: Sequence[ManifestEntry], base_dir,
-                      image_list: Sequence[ManifestEntry], target: int,
-                      scope: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stack preprocessed image slices and matching mask slices."""
+                      image_list: Sequence[ManifestEntry],
+                      model_cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Stack preprocessed image slices and matching mask slices; each
+    source's mask is read and cropped once for all of its images."""
     masks = _mask_index(entries)
     base = Path(base_dir)
+    target = model_cfg.input_size[0]
+    mask_slices: dict[str, tuple[tuple, np.ndarray]] = {}
     xs, ys = [], []
     for e in image_list:
         if e.source_id not in masks:
             raise ValidationError(f"no reference mask for source '{e.source_id}'")
         img = read_nifti(base / e.path)
-        ref = read_nifti(base / masks[e.source_id].path)
-        if img.shape != ref.shape:
+        if e.source_id not in mask_slices:
+            ref = read_nifti(base / masks[e.source_id].path)
+            mask_slices[e.source_id] = (ref.shape, (
+                crop_pad_volume(ref.data, target)[:, None] > 0.5).astype(np.float32))
+        ref_shape, y = mask_slices[e.source_id]
+        if img.shape != ref_shape:
             raise ValidationError(f"{e.path}: image/mask shapes differ "
-                                  f"({img.shape} vs {ref.shape})")
-        xs.append(make_slice_batch(img, target=target, scope=scope))
-        mask_slices = [np.where(
-            crop_pad_slice(ref.data[:, :, k].astype(np.float32), target) > 0.5,
-            1.0, 0.0)
-            for k in range(ref.shape[2])]
-        ys.append(np.stack(mask_slices)[:, None].astype(np.float32))
+                                  f"({img.shape} vs {ref_shape})")
+        xs.append(make_slice_batch(img, target=target,
+                                   scope=model_cfg.normalization_scope))
+        ys.append(y)
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -234,8 +242,11 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
 
 def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
           out_dir, resume: Optional[str] = None) -> TrainResult:
-    """Full training run driven by a manifest file; writes checkpoints and a
-    CSV log. ``last.ckpt`` and its state are written after every epoch."""
+    """Full training run driven by a manifest file; writes checkpoints (of
+    ``model_cfg`` with the training normalization scope) and a CSV log.
+    ``last.ckpt`` and its state are written after every epoch."""
+    model_cfg = replace(model_cfg,
+                        normalization_scope=train_cfg.normalization_scope)
     entries = read_manifest(manifest)
     base_dir = manifest_dir(manifest)
     out = Path(out_dir)
@@ -243,15 +254,13 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
 
     train_src, test_src = split_dataset(entries, train_cfg.split_ratio,
                                         train_cfg.seed)
-    target = model_cfg.input_size[0]
-    scope = train_cfg.normalization_scope
     tr_images, tr_masks = load_slice_arrays(
         entries, base_dir,
         _image_entries(entries, set(train_src), train_cfg.include_artifacts),
-        target, scope)
+        model_cfg)
     va_images, va_masks = load_slice_arrays(
         entries, base_dir, _image_entries(entries, set(test_src), True),
-        target, scope)
+        model_cfg)
 
     best_path = str(out / "best.ckpt")
     last_path = str(out / "last.ckpt")
@@ -263,6 +272,9 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
             raise ConfigError("resume checkpoint was trained with a different "
                               "model config")
         state = load_train_state(str(resume) + ".state", params)
+        if state.checkpoint_crc not in (None, zlib.crc32(Path(resume).read_bytes())):
+            raise DataFormatError(f"{resume}.state: written with another "
+                                  f"checkpoint than {resume} (torn save?)")
         log_mode = "a"
     else:
         params = init_parameters(model_cfg, train_cfg.seed)
@@ -299,7 +311,7 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
             if val_loss < best_val:
                 best_val = val_loss
                 save_checkpoint(best_path, params, model_cfg)
-            save_checkpoint(last_path, params, model_cfg)
+            state.checkpoint_crc = save_checkpoint(last_path, params, model_cfg)
             save_train_state(last_path + ".state", state, params)
     if not Path(best_path).exists():
         save_checkpoint(best_path, params, model_cfg)
@@ -310,9 +322,9 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
 # ---- inference / evaluation -------------------------------------------------
 
 
-def infer_volume(params, model_cfg: ModelConfig, vol, scope: str = "slice",
-                 threshold: float = 0.5) -> np.ndarray:
-    """Segment one volume; returns a binary mask at the volume's dims.
+def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
+    """Segment one volume; returns a binary mask (probability >= 0.5) at the
+    volume's dims. The input is normalized with ``model_cfg``'s scope.
 
     Slices go through the model one at a time: the largest activation of a
     single 256x256 slice fits in a core's L2 cache, a batch of them does not.
@@ -324,8 +336,8 @@ def infer_volume(params, model_cfg: ModelConfig, vol, scope: str = "slice",
     slice count. Each slice's result is independent of the budget. The
     first error raised by any slice is re-raised here once all have stopped.
     """
-    target = model_cfg.input_size[0]
-    batch = make_slice_batch(vol, target=target, scope=scope)
+    batch = make_slice_batch(vol, model_cfg.input_size[0],
+                             model_cfg.normalization_scope)
     out = np.zeros(vol.shape, dtype=np.float32)
     slices = vol.shape[2]
     counter = itertools.count()
@@ -340,7 +352,7 @@ def infer_volume(params, model_cfg: ModelConfig, vol, scope: str = "slice",
                 if k >= slices:
                     return
                 p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
-                binary = (p.data[0, 0] >= threshold).astype(np.float32)
+                binary = (p.data[0, 0] >= 0.5).astype(np.float32)
                 out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
@@ -367,12 +379,12 @@ def _usable_cpus() -> int:
 
 
 def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,
-             out_csv=None, scope: str = "slice", threshold: float = 0.5,
-             per_slice: bool = False) -> tuple[list[SegMetrics], dict]:
+             out_csv=None, per_slice: bool = False) -> tuple[list[SegMetrics], dict]:
     """Dice + volumetry per image volume against its source's reference mask.
 
-    Returns (per-volume metrics, summary); the summary groups mean Dice by
-    artifact kind and reports the clean-vs-corrupted delta per kind.
+    Returns (per-volume metrics, then per-slice rows if ``per_slice``, and a
+    summary); the summary groups mean Dice by artifact kind and reports the
+    clean-vs-corrupted delta per kind.
     """
     params, model_cfg = load_checkpoint(checkpoint)
     masks = _mask_index(entries)
@@ -387,28 +399,19 @@ def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,
             raise ValidationError(f"no reference mask for source '{e.source_id}'")
         vol = read_nifti(base / e.path)
         ref = read_nifti(base / masks[e.source_id].path)
-        pred = infer_volume(params, model_cfg, vol, scope=scope,
-                            threshold=threshold)
+        pred = infer_volume(params, model_cfg, vol)
         ref_bin = ref.data > 0.5
-        metrics = SegMetrics(
-            image_id=e.path,
-            dice_score=dice_score(pred, ref_bin),
-            lesion_volume_pred=lesion_volume(pred, vol.spacing),
-            lesion_volume_ref=lesion_volume(ref_bin, ref.spacing),
-            voxels_pred=int(pred.sum()),
-            voxels_ref=int(ref_bin.sum()),
-        )
-        results.append(metrics)
-        by_kind.setdefault(e.role, []).append(metrics.dice_score)
+
+        def row(image_id, z=slice(None)):
+            p, r = pred[:, :, z], ref_bin[:, :, z]
+            return SegMetrics(image_id, dice_score(p, r),
+                              lesion_volume(p, vol.spacing),
+                              lesion_volume(r, ref.spacing))
+        results.append(row(e.path))
+        by_kind.setdefault(e.role, []).append(results[-1].dice_score)
         if per_slice:
-            for k in range(vol.shape[2]):
-                per_slice_rows.append(SegMetrics(
-                    image_id=f"{e.path}#z{k}",
-                    dice_score=dice_score(pred[:, :, k], ref_bin[:, :, k]),
-                    lesion_volume_pred=lesion_volume(pred[:, :, k:k + 1],
-                                                     vol.spacing),
-                    lesion_volume_ref=lesion_volume(ref_bin[:, :, k:k + 1],
-                                                    ref.spacing)))
+            per_slice_rows += [row(f"{e.path}#z{k}", slice(k, k + 1))
+                               for k in range(vol.shape[2])]
     mean_by_kind = {k: float(np.mean(vs)) for k, vs in sorted(by_kind.items())}
     clean = mean_by_kind.get("clean")
     summary = {
@@ -418,9 +421,10 @@ def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,
             if clean is not None and k != "clean"},
         "n_volumes": len(results),
     }
+    rows = results + per_slice_rows
     if out_csv is not None:
-        write_metrics_csv(out_csv, results + per_slice_rows)
-    return (results + per_slice_rows if per_slice else results), summary
+        write_metrics_csv(out_csv, rows)
+    return rows, summary
 
 
 # ---- optimizer state persistence ---------------------------------------------
@@ -434,6 +438,7 @@ def save_train_state(path, state: TrainState, params: dict[str, Tensor]) -> None
         "best_val": state.best_val,
         "bad_epochs": state.bad_epochs,
         "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
+        "checkpoint_crc32": state.checkpoint_crc,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
@@ -455,8 +460,10 @@ def load_train_state(path, params: dict[str, Tensor]) -> TrainState:
     r = BlobReader(path, STATE_MAGIC, STATE_VERSION)
     meta = r.json()
     try:
+        # files written before the CRC was recorded have no such key
         state = TrainState(epoch=meta["epoch"], step=meta["step"], lr=meta["lr"],
-                           best_val=meta["best_val"], bad_epochs=meta["bad_epochs"])
+                           best_val=meta["best_val"], bad_epochs=meta["bad_epochs"],
+                           checkpoint_crc=meta.get("checkpoint_crc32"))
         if meta["rng_state"] is not None:
             state.rng = np.random.default_rng(0)
             state.rng.bit_generator.state = meta["rng_state"]

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,16 @@ from wmhseg.tensor import Tensor
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def edit_json_header(blob: bytes, edit) -> bytes:
+    """A checkpoint or train-state file with its JSON header dict passed
+    through ``edit`` (both formats: magic, u32 version, u32 length, JSON)."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + n])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:]
 
 
 def finite_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -106,7 +106,7 @@ def _dice_summary(run, harness_dataset):
     test_set = set(run.test_sources)
     test_entries = [e for e in entries if e.source_id in test_set]
     metrics, summary = evaluate(run.best_checkpoint, test_entries,
-                                manifest_dir(harness_dataset), scope="volume")
+                                manifest_dir(harness_dataset))
     by_kind = summary["mean_dice_by_kind"]
     corrupted = [v for k, v in by_kind.items() if k != "clean"]
     return metrics, by_kind, float(np.mean(corrupted))

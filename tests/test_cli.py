@@ -2,16 +2,25 @@
 
 import csv
 import os
+import shutil
 import struct
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import wmhseg.training as training
 from wmhseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from wmhseg.model import load_checkpoint, save_checkpoint
-from wmhseg.nifti import read_nifti
-from wmhseg.tensor import Tensor
+from wmhseg.metrics import dice_score
+from wmhseg.model import load_checkpoint, model_forward, save_checkpoint
+from wmhseg.nifti import make_slice_batch, read_nifti, write_nifti
+from wmhseg.phantom import ManifestEntry, write_manifest
+from wmhseg.tensor import Tensor, no_grad
+
+from conftest import edit_json_header
+from test_training import plain_loop_mask
 
 PHANTOM_CFG = ("size=48,48,4\n"
                "num_lesions_range=2,4\n"
@@ -51,6 +60,33 @@ def checkpoint(tmp_path_factory, dataset):
                  "--lr", "1e-3", "--batch-size", "8", "--seed", "2"])
     assert code == EXIT_OK
     return run / "best.ckpt"
+
+
+@pytest.fixture(scope="module")
+def volume_checkpoint(tmp_path_factory, dataset):
+    """A tiny model trained with volume-scope normalization."""
+    run = tmp_path_factory.mktemp("cli_run_volume")
+    cfg = run / "volume.cfg"
+    cfg.write_text("normalization_scope=volume\n")
+    code = main(["train", "--manifest", str(dataset / "manifest.csv"),
+                 "--out", str(run), "--model", "tiny", "--epochs", "1",
+                 "--lr", "1e-3", "--batch-size", "8", "--seed", "2",
+                 "--config", str(cfg)])
+    assert code == EXIT_OK
+    return run / "best.ckpt"
+
+
+def oracle_mask(params, cfg, vol, scope):
+    return plain_loop_mask(params, replace(cfg, normalization_scope=scope), vol)
+
+
+def straddle(params, cfg, vol):
+    """Shift the head bias so the median logit on ``vol`` is 0: a short run's
+    masks are empty, which would hide any difference between two inputs."""
+    x = make_slice_batch(vol, cfg.input_size[0], cfg.normalization_scope)
+    with no_grad():
+        p = model_forward(Tensor(x), params, cfg).data.astype(np.float64)
+    params["decoder.head.bias"].data -= np.float32(np.median(np.log(p / (1 - p))))
 
 
 class TestPhantomCommand:
@@ -153,6 +189,21 @@ class TestAugmentCommand:
                      "--replay", str(spec), "--out", str(tmp_path / "o.nii")])
         assert_one_line_data_error(code, capsys, str(spec), needle)
 
+    def test_bias_field_overflow_data_error(self, dataset, tmp_path, capsys):
+        # exp(88) fits float32, but not once it multiplies a bright volume
+        vol = read_nifti(dataset / "phantom000.nii")
+        bright = tmp_path / "bright.nii"
+        write_nifti(vol.with_data(vol.data * 1000.0), bright)
+        spec = tmp_path / "hot.spec"
+        spec.write_bytes(b"kind=bias\nseed=3\nbias_order=1\nbias_coeffs=88,0,0,0\n")
+        out = tmp_path / "o.nii"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code = main(["augment", "--in", str(bright), "--replay", str(spec),
+                         "--out", str(out)])
+        assert_one_line_data_error(code, capsys, "overflows")
+        assert not out.exists() and not (tmp_path / "o.nii.spec").exists()
+
     @pytest.mark.parametrize("coeffs", [b"", b"bias_coeffs=" + b"0.1," * 19 + b"0.1\n"],
                              ids=["no-coeffs", "20-coeffs"])
     def test_huge_bias_order_fails_fast(self, dataset, tmp_path, capsys, coeffs):
@@ -210,6 +261,59 @@ class TestTrainCommand:
             rows = list(csv.DictReader(fh))
         assert [int(r["epoch"]) for r in rows] == [1, 2]
 
+    def test_torn_checkpoint_state_pair_refused(self, dataset, tmp_path,
+                                                capsys, monkeypatch):
+        args = ["train", "--manifest", str(dataset / "manifest.csv"),
+                "--out", str(tmp_path / "r"), "--model", "tiny",
+                "--epochs", "1", "--batch-size", "8", "--seed", "6"]
+        last = tmp_path / "r" / "last.ckpt"
+        assert main(args) == EXIT_OK
+        state_before = (tmp_path / "r" / "last.ckpt.state").read_bytes()
+        ckpt_before = last.read_bytes()
+
+        def crash(*a, **k):
+            raise OSError("simulated crash before the state write")
+        # the run dies between the checkpoint write and the state write
+        monkeypatch.setattr(training, "save_train_state", crash)
+        assert main(args + ["--resume", str(last)]) == EXIT_DATA
+        monkeypatch.undo()
+        assert last.read_bytes() != ckpt_before
+        assert (tmp_path / "r" / "last.ckpt.state").read_bytes() == state_before
+        capsys.readouterr()
+
+        code = main(args + ["--resume", str(last)])
+        assert_one_line_data_error(code, capsys, "last.ckpt.state", "torn")
+
+    def test_state_without_crc_resumes(self, dataset, tmp_path):
+        # a state file written before the CRC was recorded pairs with any
+        # checkpoint, as it did then
+        args = ["train", "--manifest", str(dataset / "manifest.csv"),
+                "--out", str(tmp_path / "r"), "--model", "tiny",
+                "--epochs", "1", "--batch-size", "8", "--seed", "6"]
+        assert main(args) == EXIT_OK
+        path = tmp_path / "r" / "last.ckpt.state"
+        crcs = []
+        path.write_bytes(edit_json_header(
+            path.read_bytes(), lambda h: crcs.append(h.pop("checkpoint_crc32"))))
+        assert isinstance(crcs[0], int)
+        assert main(args + ["--resume", str(tmp_path / "r" / "last.ckpt")]) \
+            == EXIT_OK
+
+    def test_resume_with_other_scope_usage_error(self, dataset, tmp_path,
+                                                 capsys):
+        args = ["train", "--manifest", str(dataset / "manifest.csv"),
+                "--out", str(tmp_path / "r"), "--model", "tiny",
+                "--epochs", "1", "--batch-size", "8", "--seed", "6"]
+        assert main(args) == EXIT_OK
+        cfg = tmp_path / "volume.cfg"
+        cfg.write_text("normalization_scope=volume\n")
+        capsys.readouterr()
+        code = main(args + ["--resume", str(tmp_path / "r" / "last.ckpt"),
+                            "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "different model config" in lines[0], lines
+
     def test_effective_config_echoed(self, dataset, tmp_path, capsys):
         main(["train", "--manifest", str(dataset / "manifest.csv"),
               "--out", str(tmp_path / "echo"), "--model", "tiny",
@@ -263,6 +367,64 @@ class TestSegmentCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and "non-finite" in lines[0], lines
         assert not out.exists()
+
+    def test_volume_scope_checkpoint_segments_as_evaluated(
+            self, dataset, volume_checkpoint, tmp_path):
+        params, cfg = load_checkpoint(volume_checkpoint)
+        assert cfg.normalization_scope == "volume"
+        src = dataset / "phantom000_bias.nii"
+        vol = read_nifti(src)
+        straddle(params, cfg, vol)
+        ckpt = tmp_path / "volume.ckpt"
+        save_checkpoint(ckpt, params, cfg)
+        want = oracle_mask(params, cfg, vol, "volume")
+        assert 0 < want.mean() < 1
+        assert not np.array_equal(want, oracle_mask(params, cfg, vol, "slice"))
+
+        out = tmp_path / "mask.nii"
+        assert main(["segment", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(out)]) == EXIT_OK
+        got = read_nifti(out).data
+        assert np.array_equal(got, want)
+
+        # evaluate scores that same mask
+        for name in ("phantom000_bias.nii", "phantom000_mask.nii"):
+            shutil.copy(dataset / name, tmp_path / name)
+        write_manifest(tmp_path / "one.csv", [
+            ManifestEntry("phantom000_bias.nii", "bias", 0, "phantom000"),
+            ManifestEntry("phantom000_mask.nii", "mask", 0, "phantom000")])
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--manifest", str(tmp_path / "one.csv"),
+                     "--out", str(tmp_path / "m.csv")]) == EXIT_OK
+        with open(tmp_path / "m.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        ref = read_nifti(dataset / "phantom000_mask.nii").data > 0.5
+        assert row["dice"] == f"{dice_score(got, ref):.6f}"
+        assert float(row["vol_pred_mm3"]) == pytest.approx(
+            got.sum() * np.prod(vol.spacing), abs=1e-3)
+
+    def test_checkpoint_without_scope_key_segments_per_slice(
+            self, dataset, checkpoint, tmp_path):
+        params, cfg = load_checkpoint(checkpoint)
+        src = dataset / "phantom000_bias.nii"
+        vol = read_nifti(src)
+        straddle(params, cfg, vol)
+        with_key = tmp_path / "with_key.ckpt"
+        save_checkpoint(with_key, params, cfg)
+        old = tmp_path / "old.ckpt"
+        # as written before the header had the key
+        old.write_bytes(edit_json_header(
+            with_key.read_bytes(), lambda h: h.pop("normalization_scope")))
+        assert b"normalization_scope" not in old.read_bytes()
+        want = oracle_mask(params, cfg, vol, "slice")
+        assert 0 < want.mean() < 1
+        assert not np.array_equal(want, oracle_mask(params, cfg, vol, "volume"))
+        for ckpt, out in ((old, "old.nii"), (with_key, "new.nii")):
+            assert main(["segment", "--checkpoint", str(ckpt), "--in", str(src),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        assert np.array_equal(read_nifti(tmp_path / "old.nii").data, want)
+        assert (tmp_path / "old.nii").read_bytes() == \
+            (tmp_path / "new.nii").read_bytes()
 
     def test_missing_input_data_error(self, checkpoint, tmp_path):
         code = main(["segment", "--checkpoint", str(checkpoint),

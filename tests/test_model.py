@@ -111,6 +111,25 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(input_size=(40, 40))
 
+    def test_normalization_scope(self):
+        assert ModelConfig().normalization_scope == "slice"
+        assert ModelConfig(normalization_scope="volume").normalization_scope \
+            == "volume"
+        with pytest.raises(ConfigError, match="slice|volume"):
+            ModelConfig(normalization_scope="patient")
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_heads", (1, 0, 4, 8)), ("reduction_factors", (64, 16, 4, -1)),
+        ("stage_depths", (1, 1, 1)), ("ffn_expansion", 0),
+        ("decoder_channels", (8, 8, 8, 8.0)), ("input_size", (32, 64)),
+        ("in_channels", 2), ("out_channels", 2),
+    ])
+    def test_sizes_outside_the_contract_rejected(self, field, value):
+        from dataclasses import asdict
+        kwargs = dict(asdict(ModelConfig.tiny()), **{field: value})
+        with pytest.raises(ConfigError):
+            ModelConfig(**kwargs)
+
 
 class TestOverlapPatchEmbed:
     def test_stage_dims_from_256(self, rng):
@@ -375,7 +394,7 @@ class TestModelForward:
 
     def test_untrained_model_on_phantom_is_finite(self):
         from wmhseg.phantom import PhantomConfig, generate_phantom
-        from wmhseg.nifti import crop_pad_slice, make_slice_batch
+        from wmhseg.nifti import crop_pad_volume, make_slice_batch
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 123)
         vol, mask = generate_phantom(PhantomConfig(
@@ -385,8 +404,7 @@ class TestModelForward:
         probs = model_forward(Tensor(batch), params, cfg)
         assert np.isfinite(probs.data).all()
         pred = probs.data[:, 0] >= 0.5
-        ref = np.stack([crop_pad_slice(mask.data[:, :, k], 32) > 0.5
-                        for k in range(3)])
+        ref = crop_pad_volume(mask.data, 32) > 0.5
         d = dice_score(pred, ref)
         assert 0.0 <= d <= 1.0
 
@@ -456,6 +474,28 @@ class TestCheckpoint:
         path2 = tmp_path / "again.ckpt"
         save_checkpoint(path2, loaded, cfg2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_scope_recorded_and_crc_returned(self, tmp_path):
+        import zlib
+        from dataclasses import replace
+        cfg = replace(ModelConfig.tiny(), normalization_scope="volume")
+        path = tmp_path / "m.ckpt"
+        crc = save_checkpoint(path, init_parameters(cfg, 0), cfg)
+        assert crc == zlib.crc32(path.read_bytes())
+        assert load_checkpoint(path)[1].normalization_scope == "volume"
+
+    def test_header_without_scope_loads_as_slice(self, tmp_path):
+        from conftest import edit_json_header
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, cfg)
+        path.write_bytes(edit_json_header(
+            path.read_bytes(), lambda h: h.pop("normalization_scope")))
+        loaded, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg and cfg2.normalization_scope == "slice"
+        for k in params:
+            np.testing.assert_array_equal(loaded[k].data, params[k].data)
 
     def test_magic_bytes(self, tmp_path):
         cfg = ModelConfig.tiny()

@@ -8,9 +8,8 @@ import pytest
 
 from wmhseg.errors import (DataFormatError, UnsupportedDataTypeError,
                            ValidationError)
-from wmhseg.nifti import (Volume, crop_pad_slice, foreground_minmax,
-                          make_slice_batch, preprocess_slice, read_nifti,
-                          to_axial_slices, unpreprocess_mask, write_nifti)
+from wmhseg.nifti import (Volume, crop_pad_volume, make_slice_batch,
+                          read_nifti, unpreprocess_mask, write_nifti)
 
 
 def build_nifti_bytes(data: np.ndarray, pixdim=(1.0, 1.0, 1.0),
@@ -219,25 +218,60 @@ class TestVolume:
             Volume(bad, (1, 1, 1))
 
 
-class TestSlicing:
-    def test_slice_count_and_content(self, rng):
+def oracle_slice(arr, target, minmax=None):
+    """One slice preprocessed the per-slice way: statistics over the source
+    slice (or ``minmax``), crop/pad, scale, clip, background back to 0."""
+    if minmax is None:
+        fg = arr[arr != 0]
+        minmax = (float(fg.min()), float(fg.max())) if fg.size else (0.0, 0.0)
+    mn, mx = minmax
+    out = np.zeros((target, target), np.float32)
+    src = np.asarray(arr, dtype=np.float32)
+    for axis in (0, 1):
+        n = src.shape[axis]
+        lo = (n - target) // 2 if n >= target else 0
+        src = np.take(src, range(lo, lo + min(n, target)), axis=axis)
+    px = (target - src.shape[0]) // 2
+    py = (target - src.shape[1]) // 2
+    out[px:px + src.shape[0], py:py + src.shape[1]] = src
+    if mx <= mn:
+        return np.zeros_like(out)
+    scaled = np.clip((out - mn) / (mx - mn), 0.0, 1.0)
+    return np.where(out != 0, scaled, 0.0).astype(np.float32)
+
+
+def oracle_batch(data, target, scope):
+    """The per-slice implementation the batched one must equal bit for bit."""
+    shared = None
+    if scope == "volume":
+        fg = data[data != 0]
+        shared = (float(fg.min()), float(fg.max())) if fg.size else (0.0, 0.0)
+    return np.stack([oracle_slice(data[:, :, k], target, shared)
+                     for k in range(data.shape[2])])[:, None]
+
+
+def one_slice(arr, target):
+    """make_slice_batch on a single-slice volume."""
+    return make_slice_batch(Volume(arr[:, :, None], (1, 1, 1)), target)[0, 0]
+
+
+class TestCropPadVolume:
+    def test_slice_order_and_content(self, rng):
         data = rng.standard_normal((5, 6, 7)).astype(np.float32).clip(0, None)
-        vol = Volume(data, (1, 1, 1))
-        slices = to_axial_slices(vol)
-        assert len(slices) == 7
+        out = crop_pad_volume(data, 6)
+        assert out.shape == (7, 6, 6) and out.dtype == np.float32
         for k in range(7):
-            np.testing.assert_array_equal(slices[k], data[:, :, k])
+            np.testing.assert_array_equal(out[k, :5], data[:, :, k])
+            assert (out[k, 5] == 0).all()
 
-
-class TestPreprocess:
     def test_crop_300_to_central_256(self, rng):
-        arr = rng.uniform(1.0, 2.0, (300, 300)).astype(np.float32)
-        out = crop_pad_slice(arr, 256)
-        np.testing.assert_array_equal(out, arr[22:278, 22:278])
+        arr = rng.uniform(1.0, 2.0, (300, 300, 2)).astype(np.float32)
+        out = crop_pad_volume(arr, 256)
+        for k in range(2):
+            np.testing.assert_array_equal(out[k], arr[22:278, 22:278, k])
 
     def test_pad_200x180(self):
-        arr = np.ones((200, 180), np.float32)
-        out = crop_pad_slice(arr, 256)
+        out = crop_pad_volume(np.ones((200, 180, 1), np.float32), 256)[0]
         assert out.shape == (256, 256)
         # pads (28, 28) and (38, 38)
         assert out[27, 128] == 0 and out[28, 128] == 1 and out[227, 128] == 1 \
@@ -246,35 +280,47 @@ class TestPreprocess:
             and out[128, 218] == 0
 
     def test_odd_remainder_extra_pad_high_side(self):
-        arr = np.ones((255, 255), np.float32)
-        out = crop_pad_slice(arr, 256)
+        out = crop_pad_volume(np.ones((255, 255, 1), np.float32), 256)[0]
         assert out[0, 0] == 1.0 and out[255, 255] == 0.0  # extra on high side
 
+    def test_float64_input_cast_to_float32(self, rng):
+        data = rng.uniform(0, 1, (9, 9, 2))
+        out = crop_pad_volume(data, 9)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, data.transpose(2, 0, 1).astype(np.float32))
+
+
+class TestPreprocess:
     def test_normalized_to_unit_interval(self, rng):
-        arr = rng.uniform(10, 50, (100, 120)).astype(np.float32)
-        out = preprocess_slice(arr, 256)
+        out = one_slice(rng.uniform(10, 50, (100, 120)).astype(np.float32), 256)
         assert out.shape == (256, 256)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_padding_stays_exactly_zero(self, rng):
-        arr = rng.uniform(10, 50, (100, 100)).astype(np.float32)
-        out = preprocess_slice(arr, 256)
+        out = one_slice(rng.uniform(10, 50, (100, 100)).astype(np.float32), 256)
         assert (out[:78] == 0).all() and (out[178:] == 0).all()
 
     def test_foreground_minmax_mapping(self):
         arr = np.zeros((10, 10), np.float32)
         arr[2, 2], arr[3, 3], arr[4, 4] = 10.0, 20.0, 30.0
-        out = preprocess_slice(arr, 16)
-        assert foreground_minmax(arr) == (10.0, 30.0)
+        out = one_slice(arr, 16)
         got = sorted(np.unique(out[out > 0]))
         np.testing.assert_allclose(got, [0.5, 1.0])  # min maps to 0 (zeroed)
 
+    def test_statistics_taken_before_the_crop(self):
+        # the darkest and brightest voxels lie outside the 8x8 window, yet
+        # they set the scale
+        arr = np.full((12, 12), 2.0, np.float32)
+        arr[11, 11], arr[0, 0] = 1.0, 5.0
+        out = one_slice(arr, 8)
+        assert out.max() == np.float32(0.25)
+
     def test_constant_slice_all_zeros(self):
-        out = preprocess_slice(np.full((40, 40), 7.0, np.float32), 64)
+        out = one_slice(np.full((40, 40), 7.0, np.float32), 64)
         np.testing.assert_array_equal(out, np.zeros((64, 64), np.float32))
 
     def test_all_zero_slice(self):
-        out = preprocess_slice(np.zeros((40, 40), np.float32), 64)
+        out = one_slice(np.zeros((40, 40), np.float32), 64)
         np.testing.assert_array_equal(out, np.zeros((64, 64), np.float32))
 
 
@@ -283,7 +329,7 @@ class TestUnpreprocess:
                                       (300, 180)])
     def test_roundtrip_identity_inside_retained_region(self, rng, dims):
         mask = (rng.uniform(size=dims) > 0.5).astype(np.float32)
-        pre = crop_pad_slice(mask, 256)
+        pre = crop_pad_volume(mask[:, :, None], 256)[0]
         back = unpreprocess_mask(pre, dims)
         assert back.shape == dims
         sx = slice(22, 278) if dims[0] == 300 else slice(0, dims[0])
@@ -301,8 +347,7 @@ class TestUnpreprocess:
         checker = ((xs + ys) % 2).astype(np.float32)
         vol = Volume(np.stack([checker] * 4, axis=2), (1, 1, 1))
         restored = np.zeros(vol.shape, np.float32)
-        for k, sl in enumerate(to_axial_slices(vol)):
-            pre = crop_pad_slice(sl, 256)
+        for k, pre in enumerate(crop_pad_volume(vol.data, 256)):
             restored[:, :, k] = unpreprocess_mask(pre, (100, 90))
         np.testing.assert_array_equal(restored, vol.data)
 
@@ -317,10 +362,10 @@ class TestSliceBatch:
         assert batch.min() >= 0.0 and batch.max() <= 1.0
         for k in range(5):
             # each slice spans [0,1] over its own foreground
-            fg = batch[k, 0][crop_pad_slice(data[:, :, k], 128) != 0]
+            fg = batch[k, 0][crop_pad_volume(data, 128)[k] != 0]
             assert fg.min() == 0.0 and fg.max() == 1.0
             np.testing.assert_array_equal(batch[k, 0],
-                                          preprocess_slice(data[:, :, k], 128))
+                                          oracle_slice(data[:, :, k], 128))
 
     def test_volume_scope_uses_shared_stats(self, rng):
         data = rng.uniform(1, 9, (20, 20, 3)).astype(np.float32)
@@ -330,7 +375,7 @@ class TestSliceBatch:
         mn, mx = float(data.min()), float(data.max())
         for k in range(3):
             np.testing.assert_array_equal(
-                batch[k, 0], preprocess_slice(data[:, :, k], 32, minmax=(mn, mx)))
+                batch[k, 0], oracle_slice(data[:, :, k], 32, minmax=(mn, mx)))
         assert batch[1, 0].max() < 0.6 and batch.max() == 1.0
         per_slice = make_slice_batch(vol, target=32, scope="slice")
         assert per_slice[1, 0].max() == 1.0
@@ -340,3 +385,24 @@ class TestSliceBatch:
         vol = Volume(rng.uniform(1, 9, (8, 8, 2)).astype(np.float32), (1, 1, 1))
         with pytest.raises(ValidationError):
             make_slice_batch(vol, target=8, scope="patient")
+
+    @pytest.mark.parametrize("scope", ["slice", "volume"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims,target", [
+        ((300, 300), 256), ((256, 256), 256), ((240, 240), 256),
+        ((255, 257), 256), ((31, 33), 32), ((33, 30), 32), ((32, 32), 32),
+    ], ids=["crop", "fit", "pad", "odd-pad-crop", "odd-pad", "odd-crop-pad",
+            "fit-small"])
+    def test_bit_identical_to_per_slice_oracle(self, rng, scope, dtype, dims,
+                                               target):
+        data = rng.uniform(0, 1000, dims + (5,)).astype(dtype)
+        data[rng.uniform(size=data.shape) < 0.3] = 0.0
+        data[:, :, 1] = 0.0                # empty slice
+        data[:, :, 2] = 7.0                # constant slice
+        data[:, :, 3] *= 4.0               # above the volume's other slices
+        data[:dims[0] // 3, :, 3] = 0.0
+        data[:, :, 4] *= 1e-3              # far below them
+        batch = make_slice_batch(Volume(data, (1, 1, 1)), target, scope)
+        want = oracle_batch(data, target, scope)
+        assert batch.dtype == want.dtype and batch.shape == want.shape
+        assert batch.tobytes() == want.tobytes()

@@ -262,6 +262,24 @@ class TestTrainLoop:
             rows = list(csv.DictReader(fh))
         assert [int(r["epoch"]) for r in rows] == [1, 2, 3, 4]
 
+    def test_checkpoints_record_the_training_scope(self, dataset, tmp_path):
+        from wmhseg.model import load_checkpoint
+        tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4,
+                           normalization_scope="volume")
+        res = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "v")
+        for path in (res.best_checkpoint, res.last_checkpoint):
+            assert load_checkpoint(path)[1].normalization_scope == "volume"
+        with pytest.raises(ConfigError, match="different model config"):
+            train(TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4),
+                  ModelConfig.tiny(), dataset, tmp_path / "s",
+                  resume=res.last_checkpoint)
+
+    def test_unknown_training_scope_rejected(self, dataset, tmp_path):
+        tcfg = TrainConfig(epochs=1, normalization_scope="patient")
+        with pytest.raises(ConfigError, match="slice|volume"):
+            train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "p")
+        assert not (tmp_path / "p").exists()
+
     def test_resume_rejects_mismatched_config(self, dataset, tmp_path):
         tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4)
         res = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "a")
@@ -276,6 +294,7 @@ class TestTrainStatePersistence:
         state = TrainState(epoch=3, step=17, lr=2e-4, best_val=0.5,
                            bad_epochs=1, rng=np.random.default_rng(42))
         state.rng.standard_normal(10)  # advance
+        state.checkpoint_crc = 0xDEADBEEF
         for k, p in params.items():
             state.m[k] = rng.standard_normal(p.shape).astype(np.float32)
             state.v[k] = np.abs(rng.standard_normal(p.shape)).astype(np.float32)
@@ -283,7 +302,8 @@ class TestTrainStatePersistence:
         save_train_state(path, state, params)
         back = load_train_state(path, params)
         assert (back.epoch, back.step, back.lr, back.best_val,
-                back.bad_epochs) == (3, 17, 2e-4, 0.5, 1)
+                back.bad_epochs, back.checkpoint_crc) == \
+            (3, 17, 2e-4, 0.5, 1, 0xDEADBEEF)
         for k in params:
             np.testing.assert_array_equal(back.m[k], state.m[k])
             np.testing.assert_array_equal(back.v[k], state.v[k])
@@ -360,7 +380,7 @@ class TestEvaluate:
         # map volumes to their own reference by call order
         image_entries = [e for e in entries if e.role != "mask"]
 
-        def fake_infer2(params, model_cfg, vol, scope="slice", threshold=0.5):
+        def fake_infer2(params, model_cfg, vol):
             e = image_entries[calls["n"]]
             calls["n"] += 1
             return refs[e.source_id].astype(np.float32)
@@ -441,17 +461,18 @@ def blas_at_two():
         set_(n)
 
 
-class TestSliceParallelInference:
-    @staticmethod
-    def per_slice(params, cfg, vol):
-        """The plain loop: one model_forward per slice on the calling thread."""
-        x = make_slice_batch(vol, target=cfg.input_size[0])
-        with T.no_grad():
-            probs = [model_forward(Tensor(x[k:k + 1]), params, cfg).data[0, 0]
-                     for k in range(len(x))]
-        return np.stack([unpreprocess_mask((p >= 0.5).astype(np.float32),
-                                           vol.shape[:2]) for p in probs], axis=-1)
+def plain_loop_mask(params, cfg, vol):
+    """The plain loop: one model_forward per slice on the calling thread, on
+    input normalized with the config's scope."""
+    x = make_slice_batch(vol, cfg.input_size[0], cfg.normalization_scope)
+    with T.no_grad():
+        probs = [model_forward(Tensor(x[k:k + 1]), params, cfg).data[0, 0]
+                 for k in range(len(x))]
+    return np.stack([unpreprocess_mask((p >= 0.5).astype(np.float32),
+                                       vol.shape[:2]) for p in probs], axis=-1)
 
+
+class TestSliceParallelInference:
     @staticmethod
     def volume(side, slices, seed=0):
         data = np.random.default_rng(seed).random((side, side, slices))
@@ -466,7 +487,7 @@ class TestSliceParallelInference:
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 3)
         vol = self.volume(side, slices)
-        want = self.per_slice(params, cfg, vol)
+        want = plain_loop_mask(params, cfg, vol)
         assert 0 < want.mean() < 1  # both classes present
         got = training.infer_volume(params, cfg, vol)
         assert got.shape == vol.shape and got.dtype == np.float32
@@ -502,7 +523,7 @@ class TestSliceParallelInference:
         mask = training.infer_volume(params, cfg, vol)
         assert {ident for _, _, ident, _ in log} == {threading.get_ident()}
         monkeypatch.undo()
-        assert np.array_equal(mask, self.per_slice(params, cfg, vol))
+        assert np.array_equal(mask, plain_loop_mask(params, cfg, vol))
 
     def test_nan_parameter_raises_from_worker(self, monkeypatch):
         _force_budget(monkeypatch, 3)

@@ -518,14 +518,47 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     return cols
 
 
-def _tiles(a: np.ndarray, n: int, step: int, rows: int, row_step: int,
-           width: int) -> np.ndarray:
+def _tiles(a: np.ndarray, n: int, step: int, rows: int, width: int) -> np.ndarray:
     """[B,C,n,rows,width] view of a [B,C,H,W] array: element (q, y, m) of a
-    channel is a[y*row_step, q*step + m]. The caller keeps it in bounds."""
+    channel is a[y, q*step + m]. The caller keeps it in bounds."""
     sb, sc, sh, sw = a.strides
     return np.lib.stride_tricks.as_strided(
-        a, (a.shape[0], a.shape[1], n, rows, width),
-        (sb, sc, step * sw, row_step * sh, sw))
+        a, (a.shape[0], a.shape[1], n, rows, width), (sb, sc, step * sw, sh, sw))
+
+
+def _depthwise(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Stride-1 depthwise cross-correlation of x [B,C,H,W] with w [C,kh,kw]
+    under zero padding (ph, pw), ph < kh and pw < kw.
+
+    Output tile q holds columns q*t .. q*t+t-1 (t the largest divisor of
+    Wout up to 16) and reads the t+kw-1 padded input columns from q*t;
+    kernel row i of channel c is one banded matrix, band[i, c, o + j, o] =
+    w[c, i, j], shared by every tile, so the conv is kh batched matmuls.
+    The input is padded 0.5 MB of channels at a time.
+    """
+    b, c, h, wd = x.shape
+    kh, kw = w.shape[1:]
+    hout, wout = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1
+    t = max(d for d in range(1, min(wout, 16) + 1) if wout % d == 0)
+    nt, tw = wout // t, t + kw - 1
+    band = np.zeros((kh, c, tw, t), dtype=x.dtype)
+    o = np.arange(t)
+    for j in range(kw):
+        band[:, :, o + j, o] = w[:, :, j].T[:, :, None]
+    out = np.empty((b, c, hout, wout), dtype=x.dtype)
+    pads = ((0, 0), (0, 0), (ph, ph), (pw, pw))
+    block = max(1, _DW_BLOCK // (b * (h + 2 * ph) * (wd + 2 * pw)))
+    for c0 in range(0, c, block):
+        cs = slice(c0, c0 + block)
+        xb = np.pad(x[:, cs], pads) if (ph or pw) else x[:, cs]
+        acc = _tiles(out[:, cs], nt, t, hout, t)
+        np.matmul(_tiles(xb, nt, t, hout, tw), band[0, cs, None], out=acc)
+        part = np.empty_like(acc) if kh > 1 else None
+        for i in range(1, kh):
+            np.matmul(_tiles(xb[:, :, i:], nt, t, hout, tw), band[i, cs, None],
+                      out=part)
+            acc += part
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -533,23 +566,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2D cross-correlation with zero padding and optional channel groups.
 
     x: [B,Cin,H,W], weight: [Cout,Cin/groups,kh,kw], bias: [Cout] or None.
-    Depthwise convs (groups == Cin == Cout) split the output columns into
-    tiles of t (the largest divisor of Wout up to 16) and are kh batched
-    matmuls of each tile's input rows with one banded [(t-1)*s+kw, t]
-    matrix per kernel row and channel, shared by every tile. Dense stride-1
-    convs with padding < kernel, 1x1 included, are kh*kw GEMMs over shifted
-    slices of the flattened padded input, with no im2col buffer; the rest
-    (strided, grouped or padding >= kernel) are im2col + matmul. FlopCounter
-    records the logical 2*B*Cout*(Cin/groups)*kh*kw*Hout*Wout in every case.
+    Only stride-1 convs with padding < kernel take a fast path: depthwise
+    ones (groups == Cin == Cout) are the tiled banded matmuls of
+    ``_depthwise``, and dense ones (groups == 1, 1x1 included) are kh*kw
+    GEMMs over shifted slices of the flattened padded input, with no im2col
+    buffer. Everything else (strided, other groups, padding >= kernel) is
+    im2col + matmul. FlopCounter records the logical
+    2*B*Cout*(Cin/groups)*kh*kw*Hout*Wout in every case.
 
-    Backward: depthwise convs take the input gradient from the same bands,
-    transposed and gathered per tile of input columns, and the weight
-    gradient from one einsum per tap; dense
-    stride-1 convs with padding < kernel take both gradients from one im2col
-    of the output gradient padded by k-1-p; the rest recompute the input
-    columns and scatter the input gradient back with col2im. The backward
-    closure keeps the padded input of non-depthwise convs and the bands of
-    depthwise ones; no im2col buffer outlives the forward pass.
+    Backward: a stride-1 conv's input gradient is the correlation of the
+    output gradient, padded by k-1-p, with the flipped kernel. Depthwise
+    convs run ``_depthwise`` on it and take the weight gradient from one
+    einsum per tap; dense ones take both gradients from one im2col of the
+    padded output gradient; the rest recompute the input columns and
+    scatter the input gradient back with col2im. The backward closure keeps
+    the padded input of non-depthwise convs; no im2col buffer outlives the
+    forward pass.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -568,43 +600,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                          f"{h + 2 * ph}x{w + 2 * pw}")
     _count_flops(2 * b * cout * cg * kh * kw * hout * wout)
 
-    depthwise = cg == 1 and cout == cin == groups
-    transposed = not depthwise and groups == 1 and sh == sw == 1 \
-        and ph < kh and pw < kw
+    fast = sh == sw == 1 and ph < kh and pw < kw
+    depthwise = fast and cg == 1 and cout == cin == groups
+    transposed = fast and groups == 1 and not depthwise
     # one spare zero row below the padded input keeps the last tap's
     # flattened slice in bounds on the shifted-GEMM path
     spare = 1 if transposed and kw > 1 else 0
     pads = ((0, 0), (0, 0), (ph, ph + spare), (pw, pw))
-    # depthwise convs pad a block of channels at a time, and their backward
-    # pads again, so a padded copy of the whole input is never kept
+    # depthwise convs pad a block of channels at a time, so a padded copy of
+    # the whole input is never kept
     xp = None if depthwise else np.pad(x.data, pads) if (ph or pw or spare) else x.data
 
     if depthwise:
-        # output tile q holds columns q*t .. q*t+t-1 and reads the tw padded
-        # input columns from q*t*sw; kernel row i of channel c is one banded
-        # matrix, band[i, c, o*sw + j, o] = w[c, i, j], for all tiles. Its
-        # leading [tw, t] block serves the forward; the input gradient reads
-        # it with e + f more columns (see backward)
-        t = max(d for d in range(1, min(wout, 16) + 1) if wout % d == 0)
-        e, f = max(0, (kw - 1 - pw) // sw), -(-pw // sw)
-        nt, tw = wout // t, (t - 1) * sw + kw
-        band = np.zeros((kh, cout, (t + e + f) * sw + kw, t + e + f), dtype=x.dtype)
-        o = np.arange(t + e + f)
-        for j in range(kw):
-            band[:, :, o * sw + j, o] = weight.data[:, 0, :, j].T[:, :, None]
-        data = np.empty((b, cout, hout, wout), dtype=x.dtype)
-        block = max(1, _DW_BLOCK // (b * (h + 2 * ph) * (w + 2 * pw)))
-        for c0 in range(0, cout, block):
-            cs = slice(c0, c0 + block)
-            xb = np.pad(x.data[:, cs], pads) if (ph or pw) else x.data[:, cs]
-            acc = _tiles(data[:, cs], nt, t, hout, 1, t)
-            np.matmul(_tiles(xb, nt, t * sw, hout, sh, tw),
-                      band[0, cs, None, :tw, :t], out=acc)
-            part = np.empty_like(acc) if kh > 1 else None
-            for i in range(1, kh):
-                np.matmul(_tiles(xb[:, :, i:], nt, t * sw, hout, sh, tw),
-                          band[i, cs, None, :tw, :t], out=part)
-                acc += part
+        data = _depthwise(x.data, weight.data[:, 0], ph, pw)
     elif transposed:
         # tap (i, j) is one GEMM of its weights with the flattened padded
         # input shifted by i*Wp + j: output pixel (y, x) lands in column
@@ -644,28 +652,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     dw = np.empty_like(weight.data)
                     for i in range(kh):
                         for j in range(kw):
-                            win = xpd[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw]
+                            win = xpd[:, :, i:i + hout, j:j + wout]
                             dw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, win)
                     weight._accumulate(dw, owned=True)
                 if x.requires_grad:
-                    # adjoint of the banded forward, gathered per tile of
-                    # the unpadded input columns: the t*sw columns from
-                    # pw + q*t*sw take their gradient from output columns
-                    # q*t-e .. q*t+t+f-1 (g padded by e on the left) through
-                    # band rows pw+e*sw .. pw+(e+t)*sw-1, transposed, so no
-                    # two tiles write the same column
-                    nq = -(-w // (t * sw))
-                    gp = np.pad(g, ((0, 0), (0, 0), (0, 0),
-                                    (e, max(0, nq * t + f - wout))))
-                    gw = _tiles(gp, nq, t, hout, 1, t + e + f)
-                    bt = band[:, :, pw + e * sw:pw + (e + t) * sw].swapaxes(-1, -2)
-                    rows = np.empty((b, cout, hout, nq * t * sw), dtype=g.dtype)
-                    dxr = np.zeros((b, cin, h + 2 * ph, w), dtype=g.dtype)
-                    for i in range(kh):
-                        np.matmul(gw, bt[i, :, None],
-                                  out=_tiles(rows, nq, t * sw, hout, 1, t * sw))
-                        dxr[:, :, i:i + sh * hout:sh] += rows[..., :w]
-                    x._accumulate(dxr[:, :, ph:ph + h] if ph else dxr, owned=True)
+                    x._accumulate(_depthwise(g, weight.data[:, 0, ::-1, ::-1],
+                                             kh - 1 - ph, kw - 1 - pw), owned=True)
             elif transposed:
                 # gcols[b, (o,i,j), (y,x)] = g[b, o, y+i-qh, x+j-qw], g padded
                 # by q = k-1-p: the input gradient correlates it with the
@@ -707,6 +699,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                                   if (ph or pw) else dxp, owned=True)
         out._backward = backward
     return out
+
+
 
 
 # ---- softmax / layer norm ---------------------------------------------------

@@ -113,10 +113,6 @@ def split_dataset(entries: Sequence[ManifestEntry], ratio: float,
     return shuffled[:n_train], shuffled[n_train:]
 
 
-def _mask_index(entries: Sequence[ManifestEntry]) -> dict[str, ManifestEntry]:
-    return {e.source_id: e for e in entries if e.role == "mask"}
-
-
 def _image_entries(entries: Sequence[ManifestEntry], sources: set[str],
                    include_artifacts: bool) -> list[ManifestEntry]:
     roles = {"clean", "noise", "bias", "ghosting", "noise_bias"} \
@@ -124,28 +120,41 @@ def _image_entries(entries: Sequence[ManifestEntry], sources: set[str],
     return [e for e in entries if e.role in roles and e.source_id in sources]
 
 
+def _with_masks(entries: Sequence[ManifestEntry], base_dir,
+                images: Sequence[ManifestEntry]):
+    """Yield (entry, image, mask volume) for each image entry, with its
+    source's reference mask. Images are visited grouped by source, in the
+    order of each source's first image (the manifest order for manifests
+    written by ``generate_dataset``), so each file is read once and a mask
+    is dropped once its source's images are done."""
+    masks = {e.source_id: e for e in entries if e.role == "mask"}
+    by_source: dict[str, list[ManifestEntry]] = {}
+    for e in images:
+        by_source.setdefault(e.source_id, []).append(e)
+    base = Path(base_dir)
+    for source, group in by_source.items():
+        if source not in masks:
+            raise ValidationError(f"no reference mask for source '{source}'")
+        ref = read_nifti(base / masks[source].path)
+        for e in group:
+            img = read_nifti(base / e.path)
+            if img.shape != ref.shape:
+                raise ValidationError(f"{e.path}: image/mask shapes differ "
+                                      f"({img.shape} vs {ref.shape})")
+            yield e, img, ref
+
+
 def load_slice_arrays(entries: Sequence[ManifestEntry], base_dir,
                       image_list: Sequence[ManifestEntry],
                       model_cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stack preprocessed image slices and matching mask slices; each
-    source's mask is read and cropped once for all of its images."""
-    masks = _mask_index(entries)
-    base = Path(base_dir)
+    source's mask is cropped once for all of its images."""
     target = model_cfg.input_size[0]
-    mask_slices: dict[str, tuple[tuple, np.ndarray]] = {}
-    xs, ys = [], []
-    for e in image_list:
-        if e.source_id not in masks:
-            raise ValidationError(f"no reference mask for source '{e.source_id}'")
-        img = read_nifti(base / e.path)
-        if e.source_id not in mask_slices:
-            ref = read_nifti(base / masks[e.source_id].path)
-            mask_slices[e.source_id] = (ref.shape, (
-                crop_pad_volume(ref.data, target)[:, None] > 0.5).astype(np.float32))
-        ref_shape, y = mask_slices[e.source_id]
-        if img.shape != ref_shape:
-            raise ValidationError(f"{e.path}: image/mask shapes differ "
-                                  f"({img.shape} vs {ref_shape})")
+    xs, ys, last = [], [], None
+    for _, img, ref in _with_masks(entries, base_dir, image_list):
+        if ref is not last:
+            last = ref
+            y = (crop_pad_volume(ref.data, target)[:, None] > 0.5).astype(np.float32)
         xs.append(make_slice_batch(img, target=target,
                                    scope=model_cfg.normalization_scope))
         ys.append(y)
@@ -384,21 +393,16 @@ def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,
 
     Returns (per-volume metrics, then per-slice rows if ``per_slice``, and a
     summary); the summary groups mean Dice by artifact kind and reports the
-    clean-vs-corrupted delta per kind.
+    clean-vs-corrupted delta per kind. Volumes are scored in the order of
+    ``_with_masks``, which rejects an image/mask shape mismatch before
+    inference.
     """
     params, model_cfg = load_checkpoint(checkpoint)
-    masks = _mask_index(entries)
-    base = Path(base_dir)
     results: list[SegMetrics] = []
     per_slice_rows: list[SegMetrics] = []
     by_kind: dict[str, list[float]] = {}
-    for e in entries:
-        if e.role == "mask":
-            continue
-        if e.source_id not in masks:
-            raise ValidationError(f"no reference mask for source '{e.source_id}'")
-        vol = read_nifti(base / e.path)
-        ref = read_nifti(base / masks[e.source_id].path)
+    images = [e for e in entries if e.role != "mask"]
+    for e, vol, ref in _with_masks(entries, base_dir, images):
         pred = infer_volume(params, model_cfg, vol)
         ref_bin = ref.data > 0.5
 

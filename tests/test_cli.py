@@ -498,6 +498,33 @@ class TestEvaluateCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5  # 1 held-out source x 5 volumes
 
+    def test_image_mask_shape_mismatch_data_error(self, dataset, checkpoint,
+                                                  tmp_path, capsys, monkeypatch):
+        # phantom000's mask loses two rows: evaluate and train both refuse
+        # the pair before any inference, with one line naming the image
+        entries = []
+        for sid in ("phantom000", "phantom001"):
+            mask = read_nifti(dataset / f"{sid}_mask.nii")
+            write_nifti(mask.with_data(mask.data[2:] if sid == "phantom000"
+                                       else mask.data), tmp_path / f"{sid}_mask.nii")
+            shutil.copy(dataset / f"{sid}.nii", tmp_path / f"{sid}.nii")
+            entries += [ManifestEntry(f"{sid}.nii", "clean", 0, sid),
+                        ManifestEntry(f"{sid}_mask.nii", "mask", 0, sid)]
+        write_manifest(tmp_path / "manifest.csv", entries)
+        inferred = []
+        monkeypatch.setattr(training, "infer_volume",
+                            lambda *a: inferred.append(a))
+        out_csv = tmp_path / "m.csv"
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--manifest", str(tmp_path / "manifest.csv"),
+                     "--out", str(out_csv)])
+        assert_one_line_data_error(code, capsys, "phantom000.nii", "shapes differ")
+        assert not out_csv.exists() and not inferred
+        code = main(["train", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--out", str(tmp_path / "run"), "--model", "tiny",
+                     "--epochs", "1"])
+        assert_one_line_data_error(code, capsys, "phantom000.nii", "shapes differ")
+
     @pytest.mark.parametrize("text,needles", [
         (b"path,role\nphantom000.nii,clean\n", ("line 2", "'seed'")),
         (b"path,role,seed,source_id\nphantom000.nii,clean,x7,s0\n",

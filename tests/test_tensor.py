@@ -143,8 +143,8 @@ class TestConv2d:
         wd = Tensor(rng.standard_normal((3, 1, 3, 3)), dtype=np.float64)
         check_grad(lambda v: T.conv2d(v, wd, None, padding=1, groups=3),
                    rng.standard_normal((2, 3, 5, 5)), rng)
-        # depthwise input gradient (the transposed bands) at stride 2 and
-        # with a 5x3 kernel
+        # depthwise input gradients: stride 2 runs im2col, the 5x3 kernel at
+        # stride 1 the banded correlation with the flipped kernel
         for kernel, stride, padding in (((3, 3), 2, 1), ((5, 3), 1, (2, 1)),
                                         ((5, 3), 2, 2)):
             wd = Tensor(rng.standard_normal((3, 1) + kernel), dtype=np.float64)
@@ -203,44 +203,57 @@ class TestConv2d:
         assert got.shape == want.shape
         assert rel_err(got.data, want) < 1e-10
 
-    # output widths 20, 33 and 40 split into tiles of 10, 11 and 10 columns;
-    # a 1x1 kernel at stride 2 leaves input columns no output reads
-    @pytest.mark.parametrize("wout", [20, 33, 40])
-    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (2, 1)])
-    def test_depthwise_wide_forward_and_input_gradient(self, rng, wout, stride, k):
-        b, c, h, p = 2, 3, 5, 1
-        w = (wout - 1) * stride + k - 2 * p
+    # output widths 20, 33 and 40 split into tiles of 10, 11 and 10 columns
+    # and the prime 31 into tiles of 1; at stride 1 the input gradient is the
+    # forward on the flipped kernel padded by k-1-p, so paddings 0 and k-1
+    # take its widest and narrowest padding; stride 2 and padding >= kernel
+    # run im2col, and a 1x1 kernel at stride 2 leaves input columns no
+    # output reads
+    @pytest.mark.parametrize("wout", [20, 31, 33, 40])
+    @pytest.mark.parametrize("stride,kernel,padding", [
+        pytest.param(1, (3, 3), 1, id="1-3"), pytest.param(2, (3, 3), 1, id="2-3"),
+        pytest.param(2, (1, 1), 1, id="2-1"), pytest.param(1, (3, 3), 0, id="1-3-p0"),
+        pytest.param(1, (3, 3), 2, id="1-3-p2"),
+        pytest.param(1, (5, 3), (2, 1), id="1-5x3-p2x1")])
+    def test_depthwise_wide_forward_and_input_gradient(self, rng, wout, stride,
+                                                       kernel, padding):
+        b, c, h, (kh, kw) = 2, 3, 5, kernel
+        ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        w = (wout - 1) * stride + kw - 2 * pw
         x = rng.standard_normal((b, c, h, w))
-        wt = rng.standard_normal((c, 1, k, k))
+        wt = rng.standard_normal((c, 1, kh, kw))
         bias = rng.standard_normal(c)
         xt = Tensor(x, dtype=np.float64, requires_grad=True)
         out = T.conv2d(xt, Tensor(wt, dtype=np.float64),
-                       Tensor(bias, dtype=np.float64), stride=stride, padding=p,
-                       groups=c)
-        want = conv2d_oracle(x, wt, bias, stride, p, groups=c)
+                       Tensor(bias, dtype=np.float64), stride=stride,
+                       padding=padding, groups=c)
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        want = conv2d_oracle(xp, wt, bias, stride, 0, groups=c)
         assert out.shape == want.shape and out.shape[3] == wout
         assert rel_err(out.data, want) < 1e-10
         # the conv is linear in x: the input gradient of sum(out * probe)
         # is the adjoint applied to probe, summed tap by tap
         probe = rng.standard_normal(out.shape)
         (out * Tensor(probe, dtype=np.float64)).sum().backward()
-        dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        dxp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
         hout = out.shape[2]
-        for i in range(k):
-            for j in range(k):
+        for i in range(kh):
+            for j in range(kw):
                 dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += \
                     probe * wt[None, :, 0, i, j, None, None]
-        assert rel_err(xt.grad, dxp[:, :, p:p + h, p:p + w]) < 1e-10
+        assert rel_err(xt.grad, dxp[:, :, ph:ph + h, pw:pw + w]) < 1e-10
 
     def test_depthwise_weight_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 5, 6)), dtype=np.float64)
         check_grad(lambda v: T.conv2d(x, v, None, padding=1, groups=3),
                    rng.standard_normal((3, 1, 3, 3)), rng)
 
-    # (input HxW, kernel, stride, padding); the first is the Mix-FFN case
+    # (input HxW, kernel, stride, padding); the first is the Mix-FFN case;
+    # the strided ones and padding >= kernel run im2col
     @pytest.mark.parametrize("hw,kernel,stride,padding", [
         ((6, 6), (3, 3), 1, 1), ((7, 9), (3, 3), 2, 1), ((6, 8), (3, 3), 1, 0),
-        ((5, 7), (3, 3), 1, 2), ((8, 6), (5, 3), 1, 1), ((9, 7), (5, 3), 2, 2)])
+        ((5, 7), (3, 3), 1, 2), ((8, 6), (5, 3), 1, 1), ((9, 7), (5, 3), 2, 2),
+        ((4, 5), (3, 3), 1, 3)])
     def test_depthwise_forward_against_channel_loop(self, rng, hw, kernel,
                                                     stride, padding):
         b, c, (h, w), (kh, kw) = 2, 3, hw, kernel

@@ -394,6 +394,26 @@ class TestEvaluate:
         assert all(v == 1.0 for v in summary["mean_dice_by_kind"].values())
         assert all(d == 0.0 for d in summary["dice_drop_vs_clean"].values())
 
+    def test_each_file_read_once(self, dataset, tmp_path, monkeypatch):
+        from wmhseg.model import save_checkpoint
+        cfg = ModelConfig.tiny()
+        ckpt = tmp_path / "stub.ckpt"
+        save_checkpoint(ckpt, init_parameters(cfg, 0), cfg)
+        reads = []
+        read = training.read_nifti
+        monkeypatch.setattr(training, "read_nifti",
+                            lambda path: reads.append(path.name) or read(path))
+        entries = read_manifest(dataset)
+        images = [e for e in entries if e.role != "mask"]
+        base = manifest_dir(dataset)
+        metrics, _ = evaluate(ckpt, entries, base)
+        assert sorted(reads) == sorted(e.path for e in entries)
+        # rows keep the manifest order of generate_dataset's manifests
+        assert [m.image_id for m in metrics] == [e.path for e in images]
+        reads.clear()
+        training.load_slice_arrays(entries, base, images, cfg)
+        assert sorted(reads) == sorted(e.path for e in entries)
+
     def test_real_checkpoint_row_count_and_csv(self, dataset, tmp_path):
         tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=5)
         res = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "run")

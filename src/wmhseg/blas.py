@@ -1,8 +1,10 @@
-"""OpenBLAS thread control for slice-parallel inference.
+"""OpenBLAS thread control for slice-parallel inference and data-parallel
+training.
 
 ``single_threaded()`` pins every OpenBLAS library loaded in the process to
 one thread and yields the thread count that was in effect before, so the
-caller can run that many slices concurrently, each on one core. It finds
+caller can run that many slices or batch shards concurrently, each on one
+core. It finds
 the libraries in ``/proc/self/maps`` and calls their
 ``*_get_num_threads``/``*_set_num_threads`` symbols through ctypes. Where
 none is found (no OpenBLAS, or no ``/proc``) it pins nothing and yields 1.

@@ -37,7 +37,12 @@ _flop_lock = threading.Lock()
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the block (inference mode)."""
+    """Disable graph construction inside the block (inference mode).
+
+    The flag is process-wide: it applies to every thread. A thread that
+    runs a pool of workers enters the block once around the pool, and the
+    workers never enter it themselves.
+    """
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False

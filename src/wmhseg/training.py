@@ -2,7 +2,7 @@
 
 Splitting happens at the level of unique source scans so corrupted copies
 never leak across partitions. Runs are bitwise reproducible for a fixed
-(seed, config, dataset) and thread count; the training log CSV records
+(seed, config, dataset); the training log CSV records
 (epoch, train_loss, val_loss, lr, wall_time) where wall_time is the one
 measured, non-reproducible column.
 
@@ -13,12 +13,16 @@ the scheduler counters, the shuffling RNG state and the CRC-32 of its
 checkpoint. Both files are replaced atomically; resuming refuses a pair
 torn by a crash between the two writes.
 
-Parameter updates are single-writer between batches; evaluation treats
-parameters as read-only and may run concurrently across volumes.
+Threads share the parameter arrays read-only. Training shards, validation
+shards and inference slices run on one pool (``_run_parallel``); a training
+shard accumulates gradients only into leaf tensors of its own, and the
+calling thread sums them and applies the Adam update once every shard of
+the batch has finished.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import itertools
 import json
@@ -220,27 +224,51 @@ class TrainResult:
     test_sources: list[str]
 
 
+SHARD = 2  # samples per training shard; the last shard of a batch may hold 1
+
+
 def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
                 state=None, train_cfg=None) -> float:
-    """One pass over `order`; trains when state/train_cfg are given."""
+    """One pass over `order`; trains when state/train_cfg are given.
+
+    Each batch is split into contiguous shards of ``SHARD`` samples, which
+    run on the pool of ``_run_parallel``. A training shard runs on leaf
+    tensors of its own over the shared parameter arrays, so no two threads
+    add into one ``.grad``. The loss is taken once, on the calling thread,
+    over the concatenated shard outputs, and each shard's backward is
+    seeded with its slice of that loss's gradient. Shard gradients are
+    summed in shard order, so the update does not depend on the budget.
+    """
     total, count = 0.0, 0
     training = state is not None
     for lo in range(0, len(order), batch_size):
         idx = order[lo:lo + batch_size]
-        x = Tensor(images[idx])
+        shards = np.split(images[idx], range(SHARD, len(idx), SHARD))
         y = Tensor(masks[idx])
+        replicas = [{path: Tensor(p.data, requires_grad=True)
+                     for path, p in params.items()} for _ in shards] \
+            if training else [params] * len(shards)
+        outs: list = [None] * len(shards)
+
+        def forward(k):
+            outs[k] = model_forward(Tensor(shards[k]), replicas[k], model_cfg)
+
         if training:
-            probs = model_forward(x, params, model_cfg)
-            loss = combined_loss(probs, y).total
-            for p in params.values():
-                p.zero_grad()
+            _run_parallel(forward, len(shards))
+            heads = [Tensor(o.data, requires_grad=True) for o in outs]
+            loss = combined_loss(T.concat(heads), y).total
             loss.backward()
-            grads = {path: p.grad for path, p in params.items()}
+            _run_parallel(lambda k: outs[k].backward(heads[k].grad), len(shards))
+            # summed in shard order, in place into shard 0's arrays
+            grads = {path: leaf.grad for path, leaf in replicas[0].items()}
+            for replica in replicas[1:]:
+                for path, g in grads.items():
+                    g += replica[path].grad
             adam_step(params, grads, state, train_cfg)
         else:
             with T.no_grad():
-                probs = model_forward(x, params, model_cfg)
-                loss = combined_loss(probs, y).total
+                _run_parallel(forward, len(shards))
+                loss = combined_loss(T.concat(outs), y).total
         value = loss.item()
         if not np.isfinite(value):
             raise NumericsError(f"loss became non-finite ({value})")
@@ -335,20 +363,37 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
     """Segment one volume; returns a binary mask (probability >= 0.5) at the
     volume's dims. The input is normalized with ``model_cfg``'s scope.
 
-    Slices go through the model one at a time: the largest activation of a
-    single 256x256 slice fits in a core's L2 cache, a batch of them does not.
-    The slices run concurrently, each on one core: OpenBLAS is pinned to one
-    thread for the loop, and the calling thread plus (budget - 1) workers
-    take slice indices from one shared counter. The budget is the OpenBLAS
-    thread count in effect before (so ``WMHSEG_THREADS`` and
-    ``OPENBLAS_NUM_THREADS`` set it), capped by the usable CPUs and the
-    slice count. Each slice's result is independent of the budget. The
-    first error raised by any slice is re-raised here once all have stopped.
+    Slices go through the model one at a time, on the pool of
+    ``_run_parallel``: the largest activation of a single 256x256 slice fits
+    in a core's L2 cache, a batch of them does not. Each slice's result is
+    independent of the budget.
     """
     batch = make_slice_batch(vol, model_cfg.input_size[0],
                              model_cfg.normalization_scope)
     out = np.zeros(vol.shape, dtype=np.float32)
-    slices = vol.shape[2]
+
+    def segment(k):
+        p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
+        binary = (p.data[0, 0] >= 0.5).astype(np.float32)
+        out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
+
+    with T.no_grad():
+        _run_parallel(segment, vol.shape[2])
+    return out
+
+
+def _run_parallel(task, n: int) -> None:
+    """Run ``task(0)`` ... ``task(n - 1)`` concurrently, each on one core.
+
+    OpenBLAS is pinned to one thread for the pool, and the calling thread
+    plus (budget - 1) workers take indices from one shared counter. The
+    budget is the OpenBLAS thread count in effect before (so
+    ``WMHSEG_THREADS`` and ``OPENBLAS_NUM_THREADS`` set it), capped by the
+    usable CPUs and ``n``. Workers share the caller's ``T.no_grad`` state,
+    which is process-wide, and each runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` holds on every thread. The first error
+    raised by any task is re-raised here once all have stopped.
+    """
     counter = itertools.count()
     take = threading.Lock()
     errors: list[BaseException] = []
@@ -358,19 +403,18 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
             while not errors:
                 with take:
                     k = next(counter)
-                if k >= slices:
+                if k >= n:
                     return
-                p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
-                binary = (p.data[0, 0] >= 0.5).astype(np.float32)
-                out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
+                task(k)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
-    with blas.single_threaded() as blas_threads, T.no_grad():
-        budget = min(blas_threads, _usable_cpus(), slices)
+    with blas.single_threaded() as blas_threads:
+        budget = min(blas_threads, _usable_cpus(), n)
         # the calling thread is one of the workers: fresh threads would each
         # keep freed memory in a heap arena of their own
-        workers = [threading.Thread(target=work) for _ in range(budget - 1)]
+        workers = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(work,)) for _ in range(budget - 1)]
         for t in workers:
             t.start()
         work()
@@ -378,7 +422,6 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
             t.join()
     if errors:
         raise errors[0]
-    return out
 
 
 def _usable_cpus() -> int:

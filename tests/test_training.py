@@ -4,6 +4,8 @@ import contextlib
 import csv
 import sys
 import threading
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from wmhseg import blas
 from wmhseg import tensor as T
 from wmhseg.errors import (ConfigError, DataFormatError, NumericsError,
                            ValidationError)
+from wmhseg.losses import combined_loss
 from wmhseg.model import ModelConfig, init_parameters, model_forward
 from wmhseg.nifti import Volume, make_slice_batch, unpreprocess_mask
 from wmhseg.phantom import (ManifestEntry, PhantomConfig, generate_dataset,
@@ -262,6 +265,15 @@ class TestTrainLoop:
             rows = list(csv.DictReader(fh))
         assert [int(r["epoch"]) for r in rows] == [1, 2, 3, 4]
 
+    def test_resume_matches_uninterrupted_run(self, dataset, tmp_path):
+        tcfg = TrainConfig(lr=1e-3, batch_size=5, epochs=4, seed=6)
+        train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "whole")
+        half = replace(tcfg, epochs=2)
+        res = train(half, ModelConfig.tiny(), dataset, tmp_path / "split")
+        train(half, ModelConfig.tiny(), dataset, tmp_path / "split",
+              resume=res.last_checkpoint)
+        assert run_outputs(tmp_path / "whole") == run_outputs(tmp_path / "split")
+
     def test_checkpoints_record_the_training_scope(self, dataset, tmp_path):
         from wmhseg.model import load_checkpoint
         tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4,
@@ -286,6 +298,16 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(tcfg, ModelConfig.reduced(), dataset, tmp_path / "b",
                   resume=res.last_checkpoint)
+
+
+def run_outputs(run_dir):
+    """A run's checkpoints and train state as bytes, and its log rows apart
+    from the measured wall_time column."""
+    with open(run_dir / "train_log.csv") as fh:
+        rows = [{k: v for k, v in row.items() if k != "wall_time"}
+                for row in csv.DictReader(fh)]
+    files = ("last.ckpt", "best.ckpt", "last.ckpt.state")
+    return rows, {name: (run_dir / name).read_bytes() for name in files}
 
 
 class TestTrainStatePersistence:
@@ -444,10 +466,15 @@ def _blas_threads():
 
 
 def _force_budget(monkeypatch, n):
-    """Run infer_volume with ``n`` threads whatever the BLAS and CPU counts."""
+    """Run every ``_run_parallel`` pool (inference, training steps and
+    validation) with ``n`` threads whatever the BLAS and CPU counts; OpenBLAS
+    is still pinned to one thread inside the pool."""
+    pin = blas.single_threaded
+
     @contextlib.contextmanager
     def pinned():
-        yield n
+        with pin():
+            yield n
     monkeypatch.setattr(blas, "single_threaded", pinned)
     monkeypatch.setattr(training, "_usable_cpus", lambda: n)
 
@@ -584,3 +611,132 @@ class TestSliceParallelInference:
             sys.setswitchinterval(interval)
         assert one.flops > 0
         assert total.flops == 8 * one.flops
+
+
+def _capture_grads(monkeypatch):
+    """Replace the Adam update of ``training`` by a recorder of the summed
+    gradients it would apply; returns the list of recorded dicts."""
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda params, grads, state, cfg:
+                        steps.append({k: g.copy() for k, g in grads.items()}))
+    return steps
+
+
+class TestDataParallelStep:
+    @staticmethod
+    def batch(n, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, 1, 32, 32)).astype(np.float32)
+        y = (rng.random((n, 1, 32, 32)) > 0.8).astype(np.float32)
+        return x, y
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("n", [4, 5])  # shards of 2, 2 and 2, 2, 1
+    def test_matches_batched_step(self, monkeypatch, n, budget):
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 2)
+        x, y = self.batch(n)
+        loss = combined_loss(model_forward(Tensor(x), params, cfg), Tensor(y)).total
+        loss.backward()
+        want = {k: p.grad for k, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+
+        _force_budget(monkeypatch, budget)
+        steps = _capture_grads(monkeypatch)
+        got = training._epoch_pass(params, cfg, x, y, np.arange(n), n,
+                                   state=TrainState(), train_cfg=TrainConfig())
+        assert got == loss.item()  # the loss is bit-identical
+        (grads,) = steps
+        assert grads.keys() == want.keys()
+        scale = max(np.abs(g).max() for g in want.values())
+        assert scale > 0
+        for k, g in want.items():
+            assert np.abs(grads[k] - g).max() <= 1e-6 * scale, k
+        # every shard ran on leaves of its own: the shared ones got no grad
+        assert all(p.grad is None for p in params.values())
+
+    def test_more_workers_than_cores_match_one_thread(self, monkeypatch):
+        # four shards on four threads with frequent thread switches: a shard
+        # skipped, run twice or summed out of order would change the bits
+        cfg = ModelConfig.tiny()
+        x, y = self.batch(7)
+        runs = []
+        for budget in (1, 4):
+            with monkeypatch.context() as m:
+                _force_budget(m, budget)
+                steps = _capture_grads(m)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    loss = training._epoch_pass(
+                        init_parameters(cfg, 2), cfg, x, y, np.arange(7), 7,
+                        state=TrainState(), train_cfg=TrainConfig())
+                finally:
+                    sys.setswitchinterval(interval)
+            runs.append((loss, steps[0]))
+        (loss1, grads1), (loss4, grads4) = runs
+        assert loss1 == loss4
+        assert all(np.array_equal(grads1[k], grads4[k]) for k in grads1)
+
+    def test_validation_matches_batched_forward_without_graph(self, monkeypatch):
+        _force_budget(monkeypatch, 2)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 2)
+        x, y = self.batch(5)
+        with T.no_grad():
+            want = combined_loss(model_forward(Tensor(x), params, cfg),
+                                 Tensor(y)).total.item()
+        log = []
+        inner = training.model_forward
+
+        def forward(image, params, cfg):
+            p = inner(image, params, cfg)
+            log.append((p.requires_grad, p._parents))
+            return p
+        monkeypatch.setattr(training, "model_forward", forward)
+        got = training._epoch_pass(params, cfg, x, y, np.arange(5), 5)
+        assert got == want
+        assert log == [(False, ())] * 3
+        assert T._grad_enabled
+
+    @pytest.mark.parametrize("training_step", [True, False],
+                             ids=["train", "validation"])
+    def test_nan_parameter_raises_on_caller(self, monkeypatch, blas_at_two,
+                                            training_step):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 2)
+        params["decoder.head.bias"].data[:] = np.nan
+        x, y = self.batch(4)
+        steps = _capture_grads(monkeypatch)
+        kwargs = dict(state=TrainState(), train_cfg=TrainConfig()) \
+            if training_step else {}
+        threads_before = threading.active_count()
+        with pytest.raises(NumericsError, match="non-finite"):
+            training._epoch_pass(params, cfg, x, y, np.arange(4), 4, **kwargs)
+        assert threading.active_count() == threads_before
+        assert _blas_threads() == 2
+        assert steps == [] and T._grad_enabled
+
+    def test_callers_errstate_applies_on_workers(self, monkeypatch):
+        _force_budget(monkeypatch, 2)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 2)
+        params["stage1.embed.weight"].data *= np.float32(1e38)
+        x, y = self.batch(4)
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) \
+                as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericsError, match="non-finite"):
+                training._epoch_pass(params, cfg, x, y, np.arange(4), 4)
+        assert [str(w.message) for w in caught] == []
+
+    def test_budget_one_and_two_give_identical_runs(self, monkeypatch,
+                                                    dataset, tmp_path):
+        tcfg = TrainConfig(lr=1e-3, batch_size=5, epochs=2, seed=8)
+        for budget in (1, 2):
+            with monkeypatch.context() as m:
+                _force_budget(m, budget)
+                train(tcfg, ModelConfig.tiny(), dataset, tmp_path / f"b{budget}")
+        assert run_outputs(tmp_path / "b1") == run_outputs(tmp_path / "b2")

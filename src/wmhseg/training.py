@@ -15,16 +15,15 @@ torn by a crash between the two writes.
 
 Threads share the parameter arrays read-only. Training shards, validation
 shards and inference slices run on one pool (``_run_parallel``); a training
-shard accumulates gradients only into leaf tensors of its own, and the
-calling thread sums them and applies the Adam update once every shard of
-the batch has finished.
+shard accumulates gradients only into leaf tensors of its own; between
+waves of shards the calling thread adds them into the batch's sum, and it
+applies the Adam update once every shard of the batch has finished.
 """
 
 from __future__ import annotations
 
 import contextvars
 import csv
-import itertools
 import json
 import math
 import os
@@ -236,8 +235,11 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
     tensors of its own over the shared parameter arrays, so no two threads
     add into one ``.grad``. The loss is taken once, on the calling thread,
     over the concatenated shard outputs, and each shard's backward is
-    seeded with its slice of that loss's gradient. Shard gradients are
-    summed in shard order, so the update does not depend on the budget.
+    seeded with its slice of that loss's gradient. The backwards run in
+    waves of the budget; after each wave the calling thread adds the wave's
+    gradients into the sum, in shard order, and drops them. So at most
+    budget + 1 gradient sets are alive, and the update does not depend on
+    the budget.
     """
     total, count = 0.0, 0
     training = state is not None
@@ -258,12 +260,21 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
             heads = [Tensor(o.data, requires_grad=True) for o in outs]
             loss = combined_loss(T.concat(heads), y).total
             loss.backward()
-            _run_parallel(lambda k: outs[k].backward(heads[k].grad), len(shards))
-            # summed in shard order, in place into shard 0's arrays
-            grads = {path: leaf.grad for path, leaf in replicas[0].items()}
-            for replica in replicas[1:]:
-                for path, g in grads.items():
-                    g += replica[path].grad
+            grads: dict[str, np.ndarray] = {}
+
+            def add_wave(lo, hi):
+                # in shard order, in place into shard 0's arrays; a wave's
+                # gradients are dropped before the next wave starts
+                for replica in replicas[lo:hi]:
+                    for path, leaf in replica.items():
+                        if path in grads:
+                            grads[path] += leaf.grad
+                        else:
+                            grads[path] = leaf.grad
+                        leaf.grad = None
+
+            _run_parallel(lambda k: outs[k].backward(heads[k].grad),
+                          len(shards), after_wave=add_wave)
             adam_step(params, grads, state, train_cfg)
         else:
             with T.no_grad():
@@ -382,7 +393,7 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
     return out
 
 
-def _run_parallel(task, n: int) -> None:
+def _run_parallel(task, n: int, after_wave=None) -> None:
     """Run ``task(0)`` ... ``task(n - 1)`` concurrently, each on one core.
 
     OpenBLAS is pinned to one thread for the pool, and the calling thread
@@ -393,17 +404,20 @@ def _run_parallel(task, n: int) -> None:
     which is process-wide, and each runs in a copy of the caller's context,
     so the caller's ``np.errstate`` holds on every thread. The first error
     raised by any task is re-raised here once all have stopped.
+
+    With ``after_wave``, the indices run in waves of the budget, and the
+    calling thread calls ``after_wave(lo, hi)`` once ``task(lo)`` ...
+    ``task(hi - 1)`` have all finished, before the next wave starts.
     """
-    counter = itertools.count()
     take = threading.Lock()
     errors: list[BaseException] = []
 
-    def work():
+    def work(counter):
         try:
             while not errors:
                 with take:
-                    k = next(counter)
-                if k >= n:
+                    k = next(counter, None)
+                if k is None:
                     return
                 task(k)
         except BaseException as exc:  # re-raised on the calling thread
@@ -411,17 +425,24 @@ def _run_parallel(task, n: int) -> None:
 
     with blas.single_threaded() as blas_threads:
         budget = min(blas_threads, _usable_cpus(), n)
-        # the calling thread is one of the workers: fresh threads would each
-        # keep freed memory in a heap arena of their own
-        workers = [threading.Thread(target=contextvars.copy_context().run,
-                                    args=(work,)) for _ in range(budget - 1)]
-        for t in workers:
-            t.start()
-        work()
-        for t in workers:
-            t.join()
-    if errors:
-        raise errors[0]
+        width = n if after_wave is None else budget
+        for lo in range(0, n, max(width, 1)):
+            hi = min(lo + width, n)
+            counter = iter(range(lo, hi))
+            # the calling thread is one of the workers: fresh threads would
+            # each keep freed memory in a heap arena of their own
+            workers = [threading.Thread(target=contextvars.copy_context().run,
+                                        args=(work, counter))
+                       for _ in range(min(budget, hi - lo) - 1)]
+            for t in workers:
+                t.start()
+            work(counter)
+            for t in workers:
+                t.join()
+            if errors:
+                raise errors[0]
+            if after_wave is not None:
+                after_wave(lo, hi)
 
 
 def _usable_cpus() -> int:

@@ -5,6 +5,7 @@ import csv
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -678,6 +679,38 @@ class TestDataParallelStep:
         (loss1, grads1), (loss4, grads4) = runs
         assert loss1 == loss4
         assert all(np.array_equal(grads1[k], grads4[k]) for k in grads1)
+
+    def test_live_gradient_sets_bounded_by_budget(self, monkeypatch):
+        # batch 8 is four shards; at budget 2 their backwards run in two
+        # waves, and a wave's gradients are summed and dropped before the
+        # next starts: the sum plus one set per thread, never one per shard
+        _force_budget(monkeypatch, 2)
+        cfg = ModelConfig.tiny()
+        x, y = self.batch(8)
+        leaves, grads, live = [], [], []
+        inner_forward = training.model_forward
+
+        def forward(image, params, cfg):
+            leaves.append(params["decoder.head.bias"])
+            return inner_forward(image, params, cfg)
+        inner_backward = Tensor.backward
+        lock = threading.Lock()
+
+        def backward(self, seed=None):
+            inner_backward(self, seed)
+            with lock:
+                for leaf in leaves:
+                    g = leaf.grad
+                    if g is not None and not any(r() is g for r in grads):
+                        grads.append(weakref.ref(g))
+                live.append(sum(r() is not None for r in grads))
+        monkeypatch.setattr(training, "model_forward", forward)
+        monkeypatch.setattr(Tensor, "backward", backward)
+        steps = _capture_grads(monkeypatch)
+        training._epoch_pass(init_parameters(cfg, 2), cfg, x, y, np.arange(8),
+                             8, state=TrainState(), train_cfg=TrainConfig())
+        assert len(leaves) == 4 and len(steps) == 1
+        assert max(live) == 3
 
     def test_validation_matches_batched_forward_without_graph(self, monkeypatch):
         _force_budget(monkeypatch, 2)

@@ -23,8 +23,8 @@ from .nifti import (Volume, make_slice_batch, read_nifti, unpreprocess_mask,
                     write_nifti)
 from .phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                       generate_phantom, read_manifest, write_manifest)
-from .tensor import (GradTape, Tensor, concat, conv2d, gelu, layer_norm,
-                     matmul, no_grad, resize_bilinear, sigmoid, softmax)
+from .tensor import (Tensor, concat, conv2d, gelu, layer_norm, matmul,
+                     no_grad, resize_bilinear, sigmoid, softmax)
 from .training import (TrainConfig, TrainState, adam_step, evaluate,
                        infer_volume, plateau_scheduler, split_dataset, train)
 

@@ -386,15 +386,29 @@ def model_forward(image: Tensor, params: dict[str, Tensor],
 
 def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> int:
     """Write the container atomically; returns the CRC-32 of its bytes."""
-    cfg = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(cfg)),
-              cfg, struct.pack("<I", len(params))]
-    for name, p in params.items():
+    # the values as a flat byte view of each parameter, not a copy
+    return write_blob(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, asdict(config),
+                      [(name, [struct.pack(f"<B{p.ndim}I", p.ndim, *p.shape),
+                               np.ascontiguousarray(p.data, dtype="<f4")
+                               .reshape(-1).view(np.uint8)])
+                       for name, p in params.items()])
+
+
+def write_blob(path, magic: bytes, version: int, header: dict,
+               records: list[tuple[str, list]]) -> int:
+    """Write a checkpoint or train-state file atomically, in the framing
+    that ``BlobReader`` reads; returns the CRC-32 of its bytes.
+
+    The file is the magic, the u32 version, the JSON header (sorted keys)
+    after its u32 byte length, the u32 record count, then each record: its
+    name after a u16 byte length, followed by its payload chunks.
+    """
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    chunks = [magic, struct.pack("<II", version, len(head)), head,
+              struct.pack("<I", len(records))]
+    for name, payload in records:
         enc = name.encode("utf-8")
-        # the values as a flat byte view of the parameter, not a copy
-        chunks += [struct.pack("<H", len(enc)), enc,
-                   struct.pack(f"<B{p.ndim}I", p.ndim, *p.shape),
-                   np.ascontiguousarray(p.data, dtype="<f4").reshape(-1).view(np.uint8)]
+        chunks += [struct.pack("<H", len(enc)), enc, *payload]
     crc = 0
     with atomic_write(path) as fh:
         for chunk in chunks:

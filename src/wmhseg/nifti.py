@@ -22,6 +22,7 @@ Readers are pure; distinct paths may be read/written concurrently.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -52,8 +53,9 @@ class Volume:
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ValidationError(f"volume data must be 3D, got {self.data.shape}")
-        if any(s <= 0 for s in self.spacing):
-            raise ValidationError(f"voxel spacing must be positive, got {self.spacing}")
+        if not all(0 < s < math.inf for s in self.spacing):
+            raise ValidationError(f"voxel spacing must be finite and > 0, "
+                                  f"got {self.spacing}")
         if not np.isfinite(self.data).all():
             raise ValidationError("volume contains non-finite values")
 
@@ -116,6 +118,15 @@ def read_nifti(path) -> Volume:
                     "only 3D volumes are supported")
         if nx < 1 or ny < 1 or nz < 1:
             raise DataFormatError(f"{path}: non-positive extent in dim {dim[1:4]}")
+        # a single file's voxels follow the header and its extension flag;
+        # a pair's may start the .img
+        lowest = 0 if magic == b"ni1\x00" else VOX_OFFSET
+        if not lowest <= vox_offset < 2 ** 31:
+            raise DataFormatError(f"{path}: vox_offset {vox_offset} outside "
+                                  f"[{lowest}, 2^31)")
+        if not (math.isfinite(slope) and math.isfinite(inter)):
+            raise DataFormatError(f"{path}: non-finite scl_slope/scl_inter "
+                                  f"({slope}, {inter})")
 
         dt = np.dtype(end + _DTYPES[datatype])
         count = nx * ny * nz
@@ -142,11 +153,16 @@ def read_nifti(path) -> Volume:
     out_dtype = np.float64 if datatype == 64 else np.float32
     data = arr.astype(out_dtype)
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
-        data = data * out_dtype(slope) + out_dtype(inter)
+        # an overflow to inf is rejected below, with the file's name
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = data * out_dtype(slope) + out_dtype(inter)
 
     spacing = tuple(float(p) for p in pixdim[1:4])
-    return Volume(data=data, spacing=spacing,
-                  xform_raw=header[_XFORM_SPAN[0]:_XFORM_SPAN[1]])
+    try:
+        return Volume(data=data, spacing=spacing,
+                      xform_raw=header[_XFORM_SPAN[0]:_XFORM_SPAN[1]])
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def write_nifti(vol: Volume, path) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,10 +25,19 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .artifacts import KINDS, corrupt_scan, write_sidecar
-from .errors import DataFormatError, ValidationError
+from .errors import ConfigError, DataFormatError, ValidationError
 from .fileio import atomic_write
 from .nifti import Volume, write_nifti
 from .seeding import derive_seed
+
+
+# the tissue intensities before smoothing, and the half-width of the uniform
+# jitter drawn per phantom (a third of it for ventricles and per lesion)
+BACKGROUND_INTENSITY = 0.0
+BRAIN_INTENSITY = 0.45
+VENTRICLE_INTENSITY = 0.10
+LESION_INTENSITY = 0.90
+INTENSITY_JITTER = 0.03
 
 
 @dataclass(frozen=True)
@@ -36,13 +46,24 @@ class PhantomConfig:
     seed: int = 0
     num_lesions_range: tuple[int, int] = (0, 12)
     lesion_radius_mm: tuple[float, float] = (1.5, 8.0)
-    background_intensity: float = 0.0
-    brain_intensity: float = 0.45
-    ventricle_intensity: float = 0.10
-    lesion_intensity: float = 0.90
-    intensity_jitter: float = 0.03
     smoothing_sigma_mm: float = 0.8
     spacing: tuple[float, float, float] = (1.0, 1.0, 3.0)
+
+    def __post_init__(self):
+        lo, hi = self.num_lesions_range
+        r_lo, r_hi = self.lesion_radius_mm
+        # a radius of 0 paints no voxel, so lesion placement would never end
+        for key, rule, ok in (
+                ("size", "3 entries >= 1",
+                 len(self.size) == 3 and all(n >= 1 for n in self.size)),
+                ("spacing", "3 finite entries > 0", len(self.spacing) == 3
+                 and all(0 < s < math.inf for s in self.spacing)),
+                ("num_lesions_range", "0 <= lo <= hi", 0 <= lo <= hi),
+                ("lesion_radius_mm", "0 < lo <= hi", 0 < r_lo <= r_hi),
+                ("smoothing_sigma_mm", ">= 0", self.smoothing_sigma_mm >= 0)):
+            if not ok:
+                raise ConfigError(f"phantom {key} must be {rule}, got "
+                                  f"{getattr(self, key)}")
 
 
 _MANIFEST_COLUMNS = ("path", "role", "seed", "source_id")
@@ -83,10 +104,10 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
     extent_mm = np.array([s * sp for s, sp in zip(shape, spacing)])
     center = extent_mm / 2.0
 
-    jit = config.intensity_jitter
-    brain_val = config.brain_intensity + rng.uniform(-jit, jit)
-    vent_val = config.ventricle_intensity + rng.uniform(-jit / 3, jit / 3)
-    lesion_val = config.lesion_intensity + rng.uniform(-jit, jit)
+    jit = INTENSITY_JITTER
+    brain_val = BRAIN_INTENSITY + rng.uniform(-jit, jit)
+    vent_val = VENTRICLE_INTENSITY + rng.uniform(-jit / 3, jit / 3)
+    lesion_val = LESION_INTENSITY + rng.uniform(-jit, jit)
 
     brain_semi = extent_mm * np.array([0.42, 0.42, 0.46]) \
         * rng.uniform(0.95, 1.05, size=3)
@@ -96,7 +117,7 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
             f"max lesion radius {config.lesion_radius_mm[1]} mm does not fit "
             f"inside the brain (min semi-axis {min_semi:.1f} mm)")
 
-    image = np.full(shape, config.background_intensity, dtype=np.float64)
+    image = np.full(shape, BACKGROUND_INTENSITY, dtype=np.float64)
     box, inside = _ellipsoid_mask(shape, spacing, center, brain_semi)
     brain = np.zeros(shape, dtype=bool)
     brain[box] = inside

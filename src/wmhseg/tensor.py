@@ -4,7 +4,7 @@ Only the operations the segmentation network needs are provided: elementwise
 arithmetic, matmul, conv2d, softmax, layer norm, GELU, sigmoid, bilinear
 resize, concatenation, reshaping and reductions. Each differentiable op
 attaches a backward closure; ``Tensor.backward`` replays them in reverse
-topological order via a ``GradTape``.
+topological order.
 
 Conventions:
   * default dtype is float32; pass ``dtype=np.float64`` for gradient checking
@@ -127,9 +127,6 @@ class Tensor:
             raise UsageError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -170,9 +167,28 @@ class Tensor:
             if seed.shape != self.shape:
                 raise ShapeError(f"seed shape {seed.shape} != output shape {self.shape}")
         self._accumulate(seed)
-        tape = GradTape.from_output(self)
-        tape.replay()
-        for node in tape.nodes:
+        # the nodes reachable from self, in forward topological order
+        nodes: list[Tensor] = []
+        visited: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                nodes.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in visited:
+                    stack.append((parent, False))
+        for node in reversed(nodes):
+            if node._backward is not None and node.grad is not None:
+                node._backward()
+                if node._parents:
+                    node.grad = None  # consumed; only leaf grads survive
+        for node in nodes:
             node._backward = None
             node._parents = ()
 
@@ -241,43 +257,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, scale=True)
-
-
-class GradTape:
-    """Ordered record of the differentiable ops reachable from one output.
-
-    ``nodes`` is in forward topological order; ``replay`` visits each node
-    exactly once in reverse, invoking its backward closure.
-    """
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    @classmethod
-    def from_output(cls, out: Tensor) -> "GradTape":
-        nodes: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(out, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                nodes.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        return cls(nodes)
-
-    def replay(self) -> None:
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
-                if node._parents:
-                    node.grad = None  # consumed; only leaf grads survive
 
 
 # ---- op construction helpers -------------------------------------------
@@ -728,15 +707,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-               axis: int = -1) -> Tensor:
+LN_EPS = 1e-5  # added to the variance before the square root
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
     """Normalize ``axis`` to zero mean / unit variance, then affine.
 
     gamma and beta have one entry per position along ``axis`` and broadcast
     over the other axes.
     """
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be > 0")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"layer_norm axis {axis} out of bounds for shape {x.shape}")
     axis %= x.ndim
@@ -749,7 +728,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     mu = x.data.mean(axis=axis, keepdims=True)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
     xhat *= inv
     data = xhat * gam
     data += beta.data.reshape(affine)
@@ -798,21 +777,13 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError("output dims must be >= 1")
     _, _, h, w = x.shape
-    if (out_h, out_w) == (h, w):
-        wy = wx = None
-        data = x.data.copy()
-    else:
-        wy = _resize_matrix(h, out_h, x.dtype)
-        wx = _resize_matrix(w, out_w, x.dtype)
-        data = np.matmul(np.matmul(wy, x.data), wx.T)
+    wy = _resize_matrix(h, out_h, x.dtype)
+    wx = _resize_matrix(w, out_w, x.dtype)
+    data = np.matmul(np.matmul(wy, x.data), wx.T)
     out = _make(data, (x,), "resize_bilinear", check=False)
     if out.requires_grad:
         def backward():
-            g = out.grad
-            if wy is None:
-                x._accumulate(g)
-            else:
-                x._accumulate(np.matmul(np.matmul(wy.T, g), wx), owned=True)
+            x._accumulate(np.matmul(np.matmul(wy.T, out.grad), wx), owned=True)
         out._backward = backward
     return out
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import contextvars
 import csv
-import json
 import math
 import os
-import struct
+import sys
 import threading
 import time
 import zlib
@@ -40,11 +39,10 @@ import numpy as np
 from . import blas
 from . import tensor as T
 from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
-from .fileio import atomic_write
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
 from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
-                    model_forward, save_checkpoint)
+                    model_forward, save_checkpoint, write_blob)
 from .nifti import crop_pad_volume, make_slice_batch, read_nifti, unpreprocess_mask
 from .phantom import ManifestEntry, manifest_dir, read_manifest
 from .seeding import derive_seed
@@ -53,6 +51,14 @@ from .tensor import Tensor
 STATE_MAGIC = b"WMHT"
 STATE_VERSION = 1
 
+# the fixed recipe: Adam's decay rates and denominator guard, and the factor
+# and floor of the plateau schedule
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PLATEAU_FACTOR = 0.1
+MIN_LR = 1e-7
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -60,13 +66,8 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     plateau_patience: int = 2
-    plateau_factor: float = 0.1
-    min_lr: float = 1e-7
     split_ratio: float = 0.8
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     include_artifacts: bool = True     # False trains on clean scans only
     normalization_scope: str = "slice"  # copied into the saved ModelConfig
 
@@ -168,11 +169,11 @@ def load_slice_arrays(entries: Sequence[ManifestEntry], base_dir,
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: TrainState, config: TrainConfig) -> None:
+              state: TrainState) -> None:
     """Bias-corrected Adam update, in place, at the state's current lr."""
     state.step += 1
     t = state.step
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for path, p in params.items():
@@ -196,7 +197,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 def plateau_scheduler(state: TrainState, val_loss: float,
                       config: TrainConfig) -> float:
-    """Reduce lr by plateau_factor after patience+1 non-improving evals."""
+    """Reduce lr by ``PLATEAU_FACTOR``, down to ``MIN_LR``, after
+    patience+1 non-improving evals."""
     if not np.isfinite(val_loss):
         raise NumericsError(f"validation loss is not finite: {val_loss}")
     if state.best_val is None or val_loss < state.best_val:
@@ -205,7 +207,7 @@ def plateau_scheduler(state: TrainState, val_loss: float,
     else:
         state.bad_epochs += 1
         if state.bad_epochs > config.plateau_patience:
-            state.lr = max(state.lr * config.plateau_factor, config.min_lr)
+            state.lr = max(state.lr * PLATEAU_FACTOR, MIN_LR)
             state.bad_epochs = 0
     return state.lr
 
@@ -227,8 +229,8 @@ SHARD = 2  # samples per training shard; the last shard of a batch may hold 1
 
 
 def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
-                state=None, train_cfg=None) -> float:
-    """One pass over `order`; trains when state/train_cfg are given.
+                state=None) -> float:
+    """One pass over `order`; trains when a state is given.
 
     Each batch is split into contiguous shards of ``SHARD`` samples, which
     run on the pool of ``_run_parallel``. A training shard runs on leaf
@@ -275,7 +277,7 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
 
             _run_parallel(lambda k: outs[k].backward(heads[k].grad),
                           len(shards), after_wave=add_wave)
-            adam_step(params, grads, state, train_cfg)
+            adam_step(params, grads, state)
         else:
             with T.no_grad():
                 _run_parallel(forward, len(shards))
@@ -342,8 +344,7 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
             t0 = time.perf_counter()
             order = state.rng.permutation(len(tr_images))
             train_loss = _epoch_pass(params, model_cfg, tr_images, tr_masks,
-                                     order, train_cfg.batch_size,
-                                     state=state, train_cfg=train_cfg)
+                                     order, train_cfg.batch_size, state=state)
             val_loss = _epoch_pass(params, model_cfg, va_images, va_masks,
                                    np.arange(len(va_images)),
                                    train_cfg.batch_size)
@@ -508,35 +509,56 @@ def save_train_state(path, state: TrainState, params: dict[str, Tensor]) -> None
         "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
         "checkpoint_crc32": state.checkpoint_crc,
     }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with atomic_write(path) as fh:
-        fh.write(STATE_MAGIC)
-        fh.write(struct.pack("<II", STATE_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name in params:
-            enc = name.encode("utf-8")
-            m = state.m.get(name, np.zeros_like(params[name].data))
-            v = state.v.get(name, np.zeros_like(params[name].data))
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(v, dtype="<f4").tobytes())
+    records = []
+    for name, p in params.items():
+        zeros = np.zeros_like(p.data)
+        records.append((name, [np.ascontiguousarray(a, dtype="<f4").reshape(-1)
+                               .view(np.uint8) for a in (state.m.get(name, zeros),
+                                                         state.v.get(name, zeros))]))
+    write_blob(path, STATE_MAGIC, STATE_VERSION, meta, records)
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and 0 <= v < 2 ** 63
+
+
+def _is_number(v) -> bool:
+    # JSON integers are unbounded; a finite float64 is not
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# the checks of the train-state header's values; a file written before the
+# CRC was recorded has no checkpoint_crc32 key
+_STATE_HEADER = {
+    "epoch": _is_count,
+    "step": _is_count,
+    "lr": lambda v: _is_number(v) and v > 0,
+    "best_val": lambda v: v is None or _is_number(v),
+    "bad_epochs": _is_count,
+    "checkpoint_crc32": lambda v: v is None or _is_count(v) and v < 2 ** 32,
+}
 
 
 def load_train_state(path, params: dict[str, Tensor]) -> TrainState:
     r = BlobReader(path, STATE_MAGIC, STATE_VERSION)
     meta = r.json()
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: train-state header is not a JSON object")
+    for key, ok in _STATE_HEADER.items():
+        if key not in meta and key != "checkpoint_crc32":
+            raise DataFormatError(f"{path}: train-state header has no '{key}'")
+        if not ok(meta.get(key)):
+            raise DataFormatError(f"{path}: bad train-state header value "
+                                  f"{key} = {meta[key]!r}")
+    state = TrainState(epoch=meta["epoch"], step=meta["step"], lr=meta["lr"],
+                       best_val=meta["best_val"], bad_epochs=meta["bad_epochs"],
+                       checkpoint_crc=meta.get("checkpoint_crc32"),
+                       rng=np.random.default_rng(0))
     try:
-        # files written before the CRC was recorded have no such key
-        state = TrainState(epoch=meta["epoch"], step=meta["step"], lr=meta["lr"],
-                           best_val=meta["best_val"], bad_epochs=meta["bad_epochs"],
-                           checkpoint_crc=meta.get("checkpoint_crc32"))
-        if meta["rng_state"] is not None:
-            state.rng = np.random.default_rng(0)
-            state.rng.bit_generator.state = meta["rng_state"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad train-state header: {exc!r}") from None
+        state.rng.bit_generator.state = meta["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: bad train-state header value "
+                              f"rng_state: {exc!r}") from None
     (count,) = r.unpack("<I")
     for _ in range(count):
         name = r.name()

@@ -22,6 +22,8 @@ from wmhseg.tensor import Tensor, no_grad
 from conftest import edit_json_header
 from test_training import plain_loop_mask
 
+MISSING = object()  # a header key that is absent
+
 PHANTOM_CFG = ("size=48,48,4\n"
                "num_lesions_range=2,4\n"
                "lesion_radius_mm=2.0,3.5\n")
@@ -121,6 +123,26 @@ class TestPhantomCommand:
         code = main(["phantom", "-n", "1", "--seed", "3", "--config", cfg_file,
                      "--size", "32,32,2", "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("text,size,key", [
+        ("lesion_radius_mm=0,0\nnum_lesions_range=2,2\n", "32,32,3",
+         "lesion_radius_mm"),
+        ("lesion_radius_mm=-3,-1\n", "32,32,3", "lesion_radius_mm"),
+        ("num_lesions_range=-2,-1\n", "32,32,3", "num_lesions_range"),
+        ("spacing=1,0,1\n", "32,32,3", "spacing"),
+        ("", "0,32,3", "size"),
+    ], ids=["zero-radius", "negative-radius", "negative-count",
+            "zero-spacing", "zero-size"])
+    def test_out_of_range_config_usage_error(self, tmp_path, capsys, text,
+                                             size, key):
+        cfg = tmp_path / "phantom.cfg"
+        cfg.write_text(text)
+        code = main(["phantom", "-n", "1", "--seed", "3", "--config", str(cfg),
+                     "--size", size, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and key in lines[0], lines
+        assert not (tmp_path / "o").exists()
 
 
 class TestAugmentCommand:
@@ -298,6 +320,33 @@ class TestTrainCommand:
         assert isinstance(crcs[0], int)
         assert main(args + ["--resume", str(tmp_path / "r" / "last.ckpt")]) \
             == EXIT_OK
+
+    @pytest.mark.parametrize("key,value", [
+        ("epoch", "x"), ("epoch", 1.5), ("epoch", -5), ("step", "x"),
+        ("step", -1), ("step", 10 ** 400), ("best_val", "x"),
+        ("best_val", float("inf")), ("best_val", 10 ** 400),
+        ("lr", "abc"), ("lr", float("nan")), ("lr", -1.0), ("lr", 0.0),
+        ("bad_epochs", "x"), ("bad_epochs", True), ("checkpoint_crc32", -1),
+        ("checkpoint_crc32", 2 ** 32), ("rng_state", None), ("rng_state", {}),
+        ("epoch", MISSING),
+    ])
+    def test_damaged_state_header_data_error(self, checkpoint, dataset,
+                                             tmp_path, capsys, key, value):
+        run = checkpoint.parent
+        resume = tmp_path / "last.ckpt"
+        shutil.copy(run / "last.ckpt", resume)
+
+        def damage(header):
+            header.pop(key)
+            if value is not MISSING:
+                header[key] = value
+        (tmp_path / "last.ckpt.state").write_bytes(edit_json_header(
+            (run / "last.ckpt.state").read_bytes(), damage))
+        code = main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(tmp_path / "o"), "--model", "tiny",
+                     "--epochs", "1", "--batch-size", "8", "--seed", "2",
+                     "--lr", "1e-3", "--resume", str(resume)])
+        assert_one_line_data_error(code, capsys, "last.ckpt.state", key)
 
     def test_resume_with_other_scope_usage_error(self, dataset, tmp_path,
                                                  capsys):
@@ -544,6 +593,29 @@ class TestEvaluateCommand:
         assert_one_line_data_error(code, capsys, str(manifest), *needles)
 
 
+class TestDamagedNiftiHeader:
+    @pytest.mark.parametrize("command", ["segment", "augment"])
+    @pytest.mark.parametrize("offset,value", [
+        (108, np.inf), (108, np.nan), (108, 1e30), (108, -4.0),
+        (80, np.nan), (112, np.inf),
+    ], ids=["offset-inf", "offset-nan", "offset-huge", "offset-negative",
+            "spacing-nan", "slope-inf"])
+    def test_one_line_data_error(self, dataset, checkpoint, tmp_path, capsys,
+                                 command, offset, value):
+        blob = bytearray((dataset / "phantom000.nii").read_bytes())
+        struct.pack_into("<f", blob, offset, value)
+        src = tmp_path / "damaged.nii"
+        src.write_bytes(bytes(blob))
+        args = ["--in", str(src), "--out", str(tmp_path / "o.nii")]
+        args += ["--checkpoint", str(checkpoint)] if command == "segment" \
+            else ["--kind", "noise"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning either
+            code = main([command] + args)
+        assert_one_line_data_error(code, capsys, str(src))
+        assert not (tmp_path / "o.nii").exists()
+
+
 class TestThreadCap:
     def test_thread_env_applied(self, monkeypatch):
         from wmhseg.cli import _apply_thread_cap
@@ -579,9 +651,12 @@ class TestConfigFile:
          ("line 1", "stage_channels='8,8'", "4 comma-separated values")),
         ("train", b"include_artifacts=yes\n",
          ("line 1", "include_artifacts='yes'", "true or false")),
+        ("train", b"beta1=0.9\n", ("line 1", "'beta1'")),
+        ("phantom", b"lesion_intensity=0.9\n", ("line 1", "'lesion_intensity'")),
     ], ids=["train-typo", "train-removed-key", "no-equals", "undecodable",
             "phantom-typo", "unparsable", "int-key", "float-key", "float-nan", "tuple-key",
-            "tuple-length", "bool-key"])
+            "tuple-length", "bool-key", "train-fixed-adam-key",
+            "phantom-fixed-intensity-key"])
     def test_bad_config_usage_error(self, dataset, tmp_path, capsys, command,
                                     text, needles):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,34 @@ class TestReadNifti:
         path.write_bytes(blob[:len(blob) - 40])
         with pytest.raises(OSError):
             read_nifti(path)
+
+    @pytest.mark.parametrize("field,offset,value,data", [
+        ("vox_offset", 108, np.inf, [1, 2, 3, 4]),
+        ("vox_offset", 108, np.nan, [1, 2, 3, 4]),
+        ("vox_offset", 108, 1e30, [1, 2, 3, 4]),
+        ("vox_offset", 108, -4.0, [1, 2, 3, 4]),
+        ("vox_offset", 108, 0.0, [1, 2, 3, 4]),  # inside the header
+        ("spacing", 80, np.nan, [1, 2, 3, 4]),
+        ("spacing", 84, np.inf, [1, 2, 3, 4]),
+        ("spacing", 88, 0.0, [1, 2, 3, 4]),
+        ("scl_slope", 112, np.inf, [1, 2, 3, 4]),
+        ("scl_inter", 116, np.nan, [1, 2, 3, 4]),
+        ("non-finite", 112, 1e30, [1, 2, 3e30, 4]),  # scaling overflows
+        ("non-finite", 112, 0.0, [1, np.nan, 3, 4]),
+    ], ids=["offset-inf", "offset-nan", "offset-huge", "offset-negative",
+            "offset-in-header", "spacing-nan", "spacing-inf", "spacing-zero",
+            "slope-inf", "inter-nan", "scaling-overflow", "nan-voxel"])
+    def test_damaged_header_fields_name_the_file(self, tmp_path, field, offset,
+                                                 value, data):
+        blob = bytearray(build_nifti_bytes(np.float32(data).reshape(2, 2, 1)))
+        struct.pack_into("<f", blob, offset, value)
+        path = tmp_path / "damaged.nii"
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning either
+            with pytest.raises(DataFormatError, match="damaged.nii") as exc:
+                read_nifti(path)
+        assert field in str(exc.value)
 
     @pytest.mark.parametrize("gz", ["", ".gz"])
     def test_hdr_img_pair_roundtrip(self, tmp_path, gz):
@@ -204,8 +233,9 @@ class TestWriteNifti:
 
 class TestVolume:
     def test_rejects_nonpositive_spacing(self):
-        with pytest.raises(ValidationError):
-            Volume(np.zeros((2, 2, 2), np.float32), (1.0, -1.0, 1.0))
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite and > 0"):
+                Volume(np.zeros((2, 2, 2), np.float32), (1.0, bad, 1.0))
 
     def test_rejects_non3d(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from wmhseg import phantom
-from wmhseg.errors import ValidationError
+from wmhseg.errors import ConfigError, ValidationError
 from wmhseg.nifti import read_nifti
 from wmhseg.phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                             generate_phantom, manifest_dir, read_manifest,
@@ -72,6 +72,28 @@ class TestGeneratePhantom:
         img, mask = generate_phantom(replace(SMALL, spacing=(0.9, 1.1, 2.5)))
         assert img.spacing == (0.9, 1.1, 2.5)
         assert mask.spacing == (0.9, 1.1, 2.5)
+
+
+class TestPhantomConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("size", (0, 32, 3)), ("size", (32, 32)),
+        ("spacing", (1.0, 0.0, 1.0)), ("spacing", (1.0, np.nan, 1.0)),
+        ("spacing", (np.inf, 1.0, 1.0)), ("spacing", (-1.0, 1.0, 1.0)),
+        ("num_lesions_range", (-2, -1)), ("num_lesions_range", (-1, 2)),
+        ("num_lesions_range", (3, 2)),
+        # a zero radius paints no voxel: lesion placement would never end
+        ("lesion_radius_mm", (0.0, 0.0)), ("lesion_radius_mm", (0.0, 2.0)),
+        ("lesion_radius_mm", (-3.0, -1.0)), ("lesion_radius_mm", (3.0, 2.0)),
+        ("smoothing_sigma_mm", -0.5),
+    ])
+    def test_out_of_range_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            replace(SMALL, **{key: value})
+
+    def test_edges_accepted(self):
+        cfg = replace(SMALL, num_lesions_range=(0, 0), smoothing_sigma_mm=0.0,
+                      lesion_radius_mm=(2.0, 2.0), size=(1, 1, 1))
+        assert cfg.size == (1, 1, 1)
 
 
 def full_volume_mask(shape, spacing, center_mm, semi_mm):

@@ -4,10 +4,12 @@ training.
 ``single_threaded()`` pins every OpenBLAS library loaded in the process to
 one thread and yields the thread count that was in effect before, so the
 caller can run that many slices or batch shards concurrently, each on one
-core. It finds
-the libraries in ``/proc/self/maps`` and calls their
-``*_get_num_threads``/``*_set_num_threads`` symbols through ctypes. Where
-none is found (no OpenBLAS, or no ``/proc``) it pins nothing and yields 1.
+core. That count is ``OPENBLAS_NUM_THREADS`` as the process found it when
+numpy loaded OpenBLAS (the CPU count if unset, and at most that); setting it
+later changes nothing. It finds the libraries in ``/proc/self/maps`` and
+calls their ``*_get_num_threads``/``*_set_num_threads`` symbols through
+ctypes. Where none is found (no OpenBLAS, or no ``/proc``) it pins nothing
+and yields 1.
 
 Nested and concurrent pins share one count: the first pin saves the
 previous thread counts, and the last release restores them.

@@ -3,20 +3,24 @@
 Flag precedence: explicit CLI flags override config-file values, which
 override built-in defaults; the effective configuration is echoed verbatim
 before work starts. Exit codes: 0 success, 1 usage/config error, 2 data or
-format error, 3 numerical failure.
+format error, 3 numerical failure. Commands run with numpy's floating-point
+warnings off: tensor ops raise ``NumericsError`` (exit 3) on a non-finite
+result and volumes reject non-finite voxels (exit 2), so a diverging run
+prints one error line.
 
-``WMHSEG_THREADS`` caps worker-thread parallelism; it is applied to the
-numeric backends before they are loaded, which is why the heavy imports in
-this module are deferred into the command handlers.
+Worker threads: ``OPENBLAS_NUM_THREADS``, set when the process starts, is
+the thread budget of slice-parallel inference and the data-parallel training
+step (see ``training._run_parallel``).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,14 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("WMHSEG_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an int", float: "a finite number"}
@@ -98,15 +94,12 @@ def _read_config_file(path, defaults: dict) -> dict:
     return values
 
 
-def _effective(defaults: dict, config_path, flag_values: dict,
-               extra_defaults=None) -> dict:
-    """Defaults, then the config file's keys (those of ``defaults`` or
-    ``extra_defaults``, typed by their default), then the flags that were
-    given."""
+def _effective(defaults: dict, config_path, flag_values: dict) -> dict:
+    """Defaults, then the config file's keys (those of ``defaults``, typed by
+    their default), then the flags that were given."""
     merged = dict(defaults)
     if config_path:
-        merged.update(_read_config_file(config_path,
-                                        {**defaults, **(extra_defaults or {})}))
+        merged.update(_read_config_file(config_path, defaults))
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     return merged
 
@@ -114,23 +107,6 @@ def _effective(defaults: dict, config_path, flag_values: dict,
 def _echo(command: str, cfg: dict) -> None:
     for key in sorted(cfg):
         print(f"config {command}: {key}={cfg[key]}")
-
-
-# ModelConfig fields a train config file may override on top of the preset
-_MODEL_KEYS = ("stage_channels", "stage_depths", "reduction_factors",
-               "num_heads", "ffn_expansion", "decoder_channels", "input_size")
-
-
-def _model_config(cfg: dict):
-    from dataclasses import replace
-    from .model import ModelConfig
-    presets = {"default": ModelConfig, "reduced": ModelConfig.reduced,
-               "tiny": ModelConfig.tiny}
-    preset = cfg.get("model", "default")
-    if preset not in presets:
-        raise ValueError(f"unknown model preset '{preset}'")
-    return replace(presets[preset](),
-                   **{k: cfg[k] for k in _MODEL_KEYS if k in cfg})
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -187,12 +163,14 @@ def cmd_train(args) -> int:
              "epochs": args.epochs, "seed": args.seed,
              "split_ratio": args.split_ratio, "model": args.model,
              "include_artifacts": False if args.no_artifacts else None}
-    model_defaults = {k: v for k, v in asdict(ModelConfig()).items()
-                      if k in _MODEL_KEYS}
-    cfg = _effective(defaults, args.config, flags, extra_defaults=model_defaults)
+    cfg = _effective(defaults, args.config, flags)
     _echo("train", cfg)
     train_cfg = TrainConfig(**{k: cfg[k] for k in train_defaults})
-    result = train(train_cfg, _model_config(cfg), args.manifest, args.out,
+    presets = {"default": ModelConfig, "reduced": ModelConfig.reduced,
+               "tiny": ModelConfig.tiny}
+    if cfg["model"] not in presets:
+        raise ValueError(f"unknown model preset '{cfg['model']}'")
+    result = train(train_cfg, presets[cfg["model"]](), args.manifest, args.out,
                    resume=args.resume)
     last = result.history[-1]
     print(f"finished epoch {last['epoch']}: train {last['train_loss']:.4f} "
@@ -304,11 +282,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:

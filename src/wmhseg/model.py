@@ -24,7 +24,9 @@ Attention heads split along C and the scores are laid out [B,heads,M,N]
 Checkpoint container: magic ``WMHS``, u32 format version, JSON-serialized
 config, then per parameter (path, shape, raw little-endian float32 values).
 The config's ``normalization_scope`` is the one inference uses ('slice' if
-absent). Round-trips are bit-exact; a save replaces the file atomically.
+absent). Older headers also carry ``in_channels``, ``out_channels`` and
+``ffn_expansion``, which load only at the fixed values below. Round-trips
+are bit-exact; a save replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ CHECKPOINT_VERSION = 1
 
 # (kernel, stride, padding) of the patch embedding per stage
 PATCH_KERNELS = ((7, 4, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1))
+# one FLAIR channel in, one lesion logit out, and SegFormer's Mix-FFN width
+IN_CHANNELS = 1
+OUT_CHANNELS = 1
+FFN_EXPANSION = 4
+_FIXED_KEYS = {"in_channels": IN_CHANNELS, "out_channels": OUT_CHANNELS,
+               "ffn_expansion": FFN_EXPANSION}
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,8 @@ class ModelConfig:
     stage_depths: tuple[int, int, int, int] = (2, 2, 2, 2)
     reduction_factors: tuple[int, int, int, int] = (64, 16, 4, 1)
     num_heads: tuple[int, int, int, int] = (1, 2, 5, 8)
-    ffn_expansion: int = 4
     decoder_channels: tuple[int, int, int, int] = (32, 64, 160, 256)
     input_size: tuple[int, int] = (256, 256)
-    in_channels: int = 1
-    out_channels: int = 1
     normalization_scope: str = "slice"  # input min-max per slice|volume
 
     def __post_init__(self):
@@ -72,14 +77,13 @@ class ModelConfig:
                               f"{self.normalization_scope!r}")
         stages = (self.stage_channels, self.stage_depths, self.reduction_factors,
                   self.num_heads, self.decoder_channels)
-        # the preprocessing makes one square channel; inference reads one map
+        # the preprocessing makes square slices
         if any(len(t) != 4 for t in stages) or len(self.input_size) != 2 \
-                or not all(isinstance(v, int) and v >= 1 for v in
-                           sum(stages, self.input_size + (self.ffn_expansion,))) \
-                or self.input_size[0] != self.input_size[1] \
-                or (self.in_channels, self.out_channels) != (1, 1):
+                or not all(isinstance(v, int) and v >= 1
+                           for v in sum(stages, self.input_size)) \
+                or self.input_size[0] != self.input_size[1]:
             raise ConfigError("sizes must be positive integers, 4 per stage, with "
-                              "a square 1-channel input and a 1-channel output")
+                              "a square input")
         for i in range(4):
             c, heads, r = self.stage_channels[i], self.num_heads[i], \
                 self.reduction_factors[i]
@@ -129,7 +133,7 @@ def parameter_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
     checkpoint layout.
     """
     specs: list[tuple[str, tuple[int, ...], str]] = []
-    cin = config.in_channels
+    cin = IN_CHANNELS
     for i in range(4):
         c = config.stage_channels[i]
         k, _, _ = PATCH_KERNELS[i]
@@ -141,7 +145,7 @@ def parameter_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
             (f"{stage}.embed.norm.gamma", (c,), "ones"),
             (f"{stage}.embed.norm.beta", (c,), "zeros"),
         ]
-        e = c * config.ffn_expansion
+        e = c * FFN_EXPANSION
         for d in range(config.stage_depths[i]):
             blk = f"{stage}.block{d}"
             specs += [
@@ -189,8 +193,8 @@ def parameter_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
         ]
         d_in = cout
     specs += [
-        ("decoder.head.weight", (config.out_channels, d_in, 1, 1), "conv"),
-        ("decoder.head.bias", (config.out_channels,), "zeros"),
+        ("decoder.head.weight", (OUT_CHANNELS, d_in, 1, 1), "conv"),
+        ("decoder.head.bias", (OUT_CHANNELS,), "zeros"),
     ]
     return specs
 
@@ -317,7 +321,7 @@ def mix_ffn(tokens: Tensor, h: int, w: int, p: dict[str, Tensor]) -> Tensor:
 def encoder_forward(image: Tensor, params: dict[str, Tensor],
                     config: ModelConfig) -> list[Tensor]:
     """Run all four stages; returns the four feature maps [B,Ci,Hi,Wi]."""
-    expected = (config.in_channels,) + config.input_size
+    expected = (IN_CHANNELS,) + config.input_size
     if image.ndim != 4 or image.shape[1:] != expected:
         raise ShapeError(f"encoder expects [B,{expected[0]},{expected[1]},"
                          f"{expected[2]}], got {image.shape}")
@@ -476,8 +480,14 @@ class BlobReader:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     r = BlobReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    header = r.json()
     try:
-        config = ModelConfig(**r.json())
+        if isinstance(header, dict):
+            for key, fixed in _FIXED_KEYS.items():
+                found = header.pop(key, fixed)
+                if type(found) is not int or found != fixed:
+                    raise ConfigError(f"{key} must be {fixed}, got {found!r}")
+        config = ModelConfig(**header)
     except (TypeError, ConfigError) as exc:
         raise DataFormatError(f"{path}: bad model config: {exc}") from None
     specs = {name: shape for name, shape, _ in parameter_specs(config)}

@@ -38,6 +38,8 @@ BRAIN_INTENSITY = 0.45
 VENTRICLE_INTENSITY = 0.10
 LESION_INTENSITY = 0.90
 INTENSITY_JITTER = 0.03
+# the Gaussian that softens tissue edges, in mm (the mask stays sharp)
+SMOOTHING_SIGMA_MM = 0.8
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class PhantomConfig:
     seed: int = 0
     num_lesions_range: tuple[int, int] = (0, 12)
     lesion_radius_mm: tuple[float, float] = (1.5, 8.0)
-    smoothing_sigma_mm: float = 0.8
     spacing: tuple[float, float, float] = (1.0, 1.0, 3.0)
 
     def __post_init__(self):
@@ -59,8 +60,7 @@ class PhantomConfig:
                 ("spacing", "3 finite entries > 0", len(self.spacing) == 3
                  and all(0 < s < math.inf for s in self.spacing)),
                 ("num_lesions_range", "0 <= lo <= hi", 0 <= lo <= hi),
-                ("lesion_radius_mm", "0 < lo <= hi", 0 < r_lo <= r_hi),
-                ("smoothing_sigma_mm", ">= 0", self.smoothing_sigma_mm >= 0)):
+                ("lesion_radius_mm", "0 < lo <= hi", 0 < r_lo <= r_hi)):
             if not ok:
                 raise ConfigError(f"phantom {key} must be {rule}, got "
                                   f"{getattr(self, key)}")
@@ -147,7 +147,7 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
         mask[box][lesion] = 1.0
         placed += 1
 
-    sigma_vox = [config.smoothing_sigma_mm / sp for sp in spacing]
+    sigma_vox = [SMOOTHING_SIGMA_MM / sp for sp in spacing]
     image = gaussian_filter(image, sigma=sigma_vox)
     img_vol = Volume(np.clip(image, 0.0, None).astype(np.float32), spacing)
     mask_vol = Volume(mask, spacing)

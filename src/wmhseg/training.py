@@ -72,8 +72,6 @@ class TrainConfig:
     normalization_scope: str = "slice"  # copied into the saved ModelConfig
 
     def __post_init__(self):
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
@@ -101,6 +99,8 @@ class TrainState:
 def split_dataset(entries: Sequence[ManifestEntry], ratio: float,
                   seed: int) -> tuple[list[str], list[str]]:
     """Shuffle unique source ids and split; variants follow their source."""
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"split_ratio must be in (0,1), got {ratio}")
     sources: list[str] = []
     seen = set()
     for e in entries:
@@ -299,11 +299,11 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
                         normalization_scope=train_cfg.normalization_scope)
     entries = read_manifest(manifest)
     base_dir = manifest_dir(manifest)
+    train_src, test_src = split_dataset(entries, train_cfg.split_ratio,
+                                        train_cfg.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    train_src, test_src = split_dataset(entries, train_cfg.split_ratio,
-                                        train_cfg.seed)
     tr_images, tr_masks = load_slice_arrays(
         entries, base_dir,
         _image_entries(entries, set(train_src), train_cfg.include_artifacts),
@@ -400,8 +400,8 @@ def _run_parallel(task, n: int, after_wave=None) -> None:
     OpenBLAS is pinned to one thread for the pool, and the calling thread
     plus (budget - 1) workers take indices from one shared counter. The
     budget is the OpenBLAS thread count in effect before (so
-    ``WMHSEG_THREADS`` and ``OPENBLAS_NUM_THREADS`` set it), capped by the
-    usable CPUs and ``n``. Workers share the caller's ``T.no_grad`` state,
+    ``OPENBLAS_NUM_THREADS`` at process start sets it), capped by the usable
+    CPUs and ``n``. Workers share the caller's ``T.no_grad`` state,
     which is process-wide, and each runs in a copy of the caller's context,
     so the caller's ``np.errstate`` holds on every thread. The first error
     raised by any task is re-raised here once all have stopped.

@@ -1,7 +1,6 @@
 """Command line interface: subcommands, config precedence, exit codes."""
 
 import csv
-import os
 import shutil
 import struct
 import time
@@ -371,12 +370,17 @@ class TestTrainCommand:
         assert "config train: lr=0.002" in out
         assert "config train: model=tiny" in out
 
-    def test_numerical_failure_exit_code(self, dataset, tmp_path):
-        with np.errstate(all="ignore"):
+    def test_numerical_failure_exit_code(self, dataset, tmp_path, capsys):
+        # the ops' own finite checks report; numpy's warnings stay silent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["train", "--manifest", str(dataset / "manifest.csv"),
                          "--out", str(tmp_path / "blow"), "--model", "tiny",
                          "--epochs", "3", "--batch-size", "8", "--lr", "1e18"])
         assert code == EXIT_NUMERIC
+        assert not caught, [str(w.message) for w in caught]
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "non-finite" in lines[0], lines
 
 
 class TestSegmentCommand:
@@ -495,6 +499,8 @@ class TestSegmentCommand:
     @pytest.mark.parametrize("edit,needles", [
         ("narrow", ("'stage1.embed.weight'", "(3, 1, 7, 7)")),
         ("drop", ("missing", "'decoder.head.bias'")),
+        # a key older headers carry, at a value the network cannot have
+        ("in_channels", ("in_channels must be 1, got 2",)),
     ])
     def test_checkpoint_not_matching_config_data_error(
             self, dataset, checkpoint, tmp_path, capsys, edit, needles):
@@ -502,10 +508,13 @@ class TestSegmentCommand:
         if edit == "narrow":
             params["stage1.embed.weight"] = \
                 Tensor(params["stage1.embed.weight"].data[:3])
-        else:
+        elif edit == "drop":
             del params["decoder.head.bias"]
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, params, cfg)
+        if edit == "in_channels":
+            bad.write_bytes(edit_json_header(bad.read_bytes(),
+                                             lambda h: h.update(in_channels=2)))
         code = main(["segment", "--checkpoint", str(bad),
                      "--in", str(dataset / "phantom000.nii"),
                      "--out", str(tmp_path / "o.nii")])
@@ -616,21 +625,27 @@ class TestDamagedNiftiHeader:
         assert not (tmp_path / "o.nii").exists()
 
 
-class TestThreadCap:
-    def test_thread_env_applied(self, monkeypatch):
-        from wmhseg.cli import _apply_thread_cap
-        monkeypatch.setenv("WMHSEG_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        _apply_thread_cap()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 class TestUsage:
     def test_unknown_subcommand_exit_one(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
     def test_missing_required_flag_exit_one(self):
         assert main(["segment", "--in", "x.nii", "--out", "y.nii"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan", "5", "-1", "0", "1"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_split_ratio_outside_open_unit_interval(
+            self, dataset, checkpoint, tmp_path, capsys, command, ratio):
+        out = tmp_path / "out"
+        args = ["--manifest", str(dataset / "manifest.csv"), "--out", str(out),
+                "--split-ratio", ratio]
+        args += ["--model", "tiny", "--epochs", "1"] if command == "train" \
+            else ["--checkpoint", str(checkpoint), "--split", "test"]
+        code = main([command] + args)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == \
+            [f"error: split_ratio must be in (0,1), got {float(ratio)}"]
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -645,18 +660,21 @@ class TestConfigFile:
         ("train", b"epochs=abc\n", ("line 1", "epochs='abc'", "an int")),
         ("train", b"epochs=1\nlr=fast\n", ("line 2", "lr='fast'", "a finite number")),
         ("train", b"lr=nan\n", ("line 1", "lr='nan'", "a finite number")),
-        ("train", b"stage_channels=a,b\n",
-         ("line 1", "stage_channels='a,b'", "4 comma-separated values, each an int")),
-        ("train", b"stage_channels=8,8\n",
-         ("line 1", "stage_channels='8,8'", "4 comma-separated values")),
+        ("phantom", b"spacing=1,x,3\n",
+         ("line 1", "spacing='1,x,3'",
+          "3 comma-separated values, each a finite number")),
+        ("phantom", b"lesion_radius_mm=2.0\n",
+         ("line 1", "lesion_radius_mm='2.0'", "2 comma-separated values")),
         ("train", b"include_artifacts=yes\n",
          ("line 1", "include_artifacts='yes'", "true or false")),
         ("train", b"beta1=0.9\n", ("line 1", "'beta1'")),
         ("phantom", b"lesion_intensity=0.9\n", ("line 1", "'lesion_intensity'")),
+        # the architecture is chosen with --model alone
+        ("train", b"stage_channels=8,8,8,8\n", ("line 1", "'stage_channels'")),
     ], ids=["train-typo", "train-removed-key", "no-equals", "undecodable",
             "phantom-typo", "unparsable", "int-key", "float-key", "float-nan", "tuple-key",
             "tuple-length", "bool-key", "train-fixed-adam-key",
-            "phantom-fixed-intensity-key"])
+            "phantom-fixed-intensity-key", "train-architecture-key"])
     def test_bad_config_usage_error(self, dataset, tmp_path, capsys, command,
                                     text, needles):
         cfg = tmp_path / "run.cfg"
@@ -675,14 +693,6 @@ class TestConfigFile:
             assert needle in lines[0]
         assert "config " not in captured.out  # rejected before the echo
         assert not out.exists()
-
-    def test_model_override_keys_accepted(self, dataset, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=1\nbatch_size=8\nffn_expansion=2\n")
-        assert main(["train", "--manifest", str(dataset / "manifest.csv"),
-                     "--out", str(tmp_path / "o"), "--model", "tiny",
-                     "--config", str(cfg)]) == EXIT_OK
-        assert "config train: ffn_expansion=2" in capsys.readouterr().out
 
     def test_values_take_the_type_of_their_default(self, dataset, tmp_path,
                                                    capsys):

@@ -16,6 +16,8 @@ from wmhseg.model import (ModelConfig, PATCH_KERNELS, decoder_forward,
 from wmhseg.metrics import dice_score
 from wmhseg.tensor import FlopCounter, Tensor
 
+from conftest import edit_json_header
+
 
 def attn_params(c, reduction, heads, rng, dtype=np.float64):
     p = {
@@ -120,9 +122,8 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("num_heads", (1, 0, 4, 8)), ("reduction_factors", (64, 16, 4, -1)),
-        ("stage_depths", (1, 1, 1)), ("ffn_expansion", 0),
+        ("stage_depths", (1, 1, 1)), ("stage_channels", (8, 8, 8, 0)),
         ("decoder_channels", (8, 8, 8, 8.0)), ("input_size", (32, 64)),
-        ("in_channels", 2), ("out_channels", 2),
     ])
     def test_sizes_outside_the_contract_rejected(self, field, value):
         from dataclasses import asdict
@@ -427,12 +428,12 @@ class TestInitParameters:
     def test_parameter_count_against_scripted_formula(self):
         for cfg in (ModelConfig(), ModelConfig.tiny(), ModelConfig.reduced()):
             total = 0
-            cin = cfg.in_channels
+            cin = 1                                        # one FLAIR channel
             for i in range(4):
                 c = cfg.stage_channels[i]
                 k = PATCH_KERNELS[i][0]
                 r = cfg.reduction_factors[i]
-                e = c * cfg.ffn_expansion
+                e = c * 4                                  # Mix-FFN expansion
                 total += c * cin * k * k + c + 2 * c       # embed conv + norm
                 per_block = (2 * c                         # norm1
                              + 4 * (c * c + c)             # q,k,v,out
@@ -450,7 +451,7 @@ class TestInitParameters:
                 cout = cfg.decoder_channels[si]
                 total += cout * (d_in + cfg.stage_channels[si]) * 9 + cout
                 d_in = cout
-            total += cfg.out_channels * d_in + cfg.out_channels
+            total += d_in + 1                              # 1x1 head to 1 logit
             assert parameter_count(cfg) == total
 
     def test_count_matches_init(self):
@@ -485,7 +486,6 @@ class TestCheckpoint:
         assert load_checkpoint(path)[1].normalization_scope == "volume"
 
     def test_header_without_scope_loads_as_slice(self, tmp_path):
-        from conftest import edit_json_header
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 0)
         path = tmp_path / "m.ckpt"
@@ -496,6 +496,32 @@ class TestCheckpoint:
         assert cfg2 == cfg and cfg2.normalization_scope == "slice"
         for k in params:
             np.testing.assert_array_equal(loaded[k].data, params[k].data)
+
+    @pytest.mark.parametrize("key,value", [
+        (None, None), ("in_channels", 2), ("out_channels", 2),
+        ("ffn_expansion", 0), ("ffn_expansion", 4.0), ("in_channels", True),
+    ], ids=["fixed-values", "in_channels-2", "out_channels-2",
+            "ffn_expansion-0", "ffn_expansion-float", "in_channels-bool"])
+    def test_former_config_keys_only_at_fixed_values(self, tmp_path, key, value):
+        # headers from before the channel counts and the expansion were
+        # constants carry them; they load only at the constants' values
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, cfg)
+        fixed = {"in_channels": 1, "out_channels": 1, "ffn_expansion": 4}
+        if key is not None:
+            fixed[key] = value
+        path.write_bytes(edit_json_header(path.read_bytes(),
+                                          lambda h: h.update(fixed)))
+        if key is None:
+            loaded, cfg2 = load_checkpoint(path)
+            assert cfg2 == cfg
+            for k in params:
+                np.testing.assert_array_equal(loaded[k].data, params[k].data)
+        else:
+            with pytest.raises(DataFormatError, match=f"m.ckpt: .*{key}"):
+                load_checkpoint(path)
 
     def test_magic_bytes(self, tmp_path):
         cfg = ModelConfig.tiny()

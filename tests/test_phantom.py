@@ -42,19 +42,20 @@ class TestGeneratePhantom:
         b, _ = generate_phantom(replace(SMALL, seed=2))
         assert not np.array_equal(a.data, b.data)
 
-    def test_mask_untouched_by_smoothing(self):
-        sharp = replace(SMALL, seed=9, smoothing_sigma_mm=0.0)
-        soft = replace(SMALL, seed=9, smoothing_sigma_mm=1.5)
-        img_sharp, mask_sharp = generate_phantom(sharp)
-        img_soft, mask_soft = generate_phantom(soft)
+    def test_mask_untouched_by_smoothing(self, monkeypatch):
+        cfg = replace(SMALL, seed=9)
+        monkeypatch.setattr(phantom, "SMOOTHING_SIGMA_MM", 0.0)
+        img_sharp, mask_sharp = generate_phantom(cfg)
+        monkeypatch.setattr(phantom, "SMOOTHING_SIGMA_MM", 1.5)
+        img_soft, mask_soft = generate_phantom(cfg)
         np.testing.assert_array_equal(mask_sharp.data, mask_soft.data)
         assert not np.array_equal(img_sharp.data, img_soft.data)
         assert set(np.unique(mask_soft.data)) <= {0.0, 1.0}
 
-    def test_intensity_ordering_of_tissue_modes(self):
+    def test_intensity_ordering_of_tissue_modes(self, monkeypatch):
         # without smoothing the painted values are exact tissue modes
-        cfg = replace(SMALL, seed=3, num_lesions_range=(3, 4),
-                      smoothing_sigma_mm=0.0)
+        monkeypatch.setattr(phantom, "SMOOTHING_SIGMA_MM", 0.0)
+        cfg = replace(SMALL, seed=3, num_lesions_range=(3, 4))
         img, mask = generate_phantom(cfg)
         modes = np.unique(img.data)
         assert modes[0] == 0.0                       # background
@@ -84,14 +85,13 @@ class TestPhantomConfig:
         # a zero radius paints no voxel: lesion placement would never end
         ("lesion_radius_mm", (0.0, 0.0)), ("lesion_radius_mm", (0.0, 2.0)),
         ("lesion_radius_mm", (-3.0, -1.0)), ("lesion_radius_mm", (3.0, 2.0)),
-        ("smoothing_sigma_mm", -0.5),
     ])
     def test_out_of_range_rejected_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             replace(SMALL, **{key: value})
 
     def test_edges_accepted(self):
-        cfg = replace(SMALL, num_lesions_range=(0, 0), smoothing_sigma_mm=0.0,
+        cfg = replace(SMALL, num_lesions_range=(0, 0),
                       lesion_radius_mm=(2.0, 2.0), size=(1, 1, 1))
         assert cfg.size == (1, 1, 1)
 

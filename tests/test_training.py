@@ -2,11 +2,14 @@
 
 import contextlib
 import csv
+import os
+import subprocess
 import sys
 import threading
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,11 @@ class TestSplitDataset:
     def test_too_few_sources_rejected(self):
         with pytest.raises(ValidationError):
             split_dataset(synthetic_manifest(1), 0.8, 0)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, -1.0, 5.0, np.inf, np.nan])
+    def test_ratio_outside_open_unit_interval_rejected(self, ratio):
+        with pytest.raises(ConfigError, match=f"split_ratio .* got {ratio}"):
+            split_dataset(synthetic_manifest(10), ratio, 0)
 
 
 class TestAdamStep:
@@ -209,8 +217,6 @@ class TestPlateauScheduler:
 
 class TestTrainConfig:
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(split_ratio=1.5)
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigError):
@@ -518,6 +524,45 @@ def plain_loop_mask(params, cfg, vol):
                  for k in range(len(x))]
     return np.stack([unpreprocess_mask((p >= 0.5).astype(np.float32),
                                        vol.shape[:2]) for p in probs], axis=-1)
+
+
+# run in a fresh interpreter, as the console script is: the OpenBLAS thread
+# count is fixed when numpy loads, before any wmhseg code runs
+THREAD_PROBE = """
+import threading
+from wmhseg import blas, cli, training  # the console script imports cli
+if not blas._controls():
+    print("no-openblas")
+else:
+    with blas.single_threaded() as before:
+        pass
+    idents = set()
+    training._run_parallel(lambda k: idents.add(threading.get_ident()), 8)
+    print(before, idents == {threading.get_ident()})
+"""
+
+
+class TestThreadKnob:
+    @staticmethod
+    def probe(threads: str) -> list[str]:
+        src = str(Path(training.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        if out.strip() == "no-openblas":
+            pytest.skip("no OpenBLAS thread control in this interpreter")
+        return out.split()
+
+    def test_one_thread_runs_every_task_on_the_calling_thread(self):
+        assert self.probe("1") == ["1", "True"]
+
+    def test_two_threads_are_the_budget(self):
+        if training._usable_cpus() < 2:
+            pytest.skip("fewer than 2 usable CPUs")
+        assert self.probe("2")[0] == "2"
 
 
 class TestSliceParallelInference:

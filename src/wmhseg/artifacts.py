@@ -92,17 +92,31 @@ def sample_spec(kind: str, seed: int) -> ArtifactSpec:
     return spec
 
 
+# voxels of float64 noise drawn at a time (1 MiB); consecutive draws of one
+# generator continue one stream, so the blocks give the one-shot draw's bits
+NOISE_BLOCK_VOXELS = 1 << 17
+
+
 def add_noise(vol: Volume, spec: ArtifactSpec) -> Volume:
-    """Additive seeded Gaussian noise scaled by the volume intensity range."""
+    """Additive seeded Gaussian noise scaled by the volume intensity range.
+
+    The float64 noise is drawn in blocks of whole rows (first axis) and
+    added, clipped and cast into the output block by block, so no
+    full-volume float64 array is made.
+    """
     data = vol.data
     if spec.noise_std == 0.0:
         return vol.with_data(data.copy())
     sigma = spec.noise_std * float(data.max() - data.min())
-    noise = np.random.default_rng(derive_seed(spec.seed, 1)).normal(
-        0.0, sigma, size=data.shape)
-    noise += data
-    np.maximum(noise, 0.0, out=noise)
-    return vol.with_data(noise.astype(data.dtype))
+    rng = np.random.default_rng(derive_seed(spec.seed, 1))
+    out = np.empty_like(data)
+    rows = max(1, NOISE_BLOCK_VOXELS // data[0].size)
+    for lo in range(0, data.shape[0], rows):
+        noise = rng.normal(0.0, sigma, size=data[lo:lo + rows].shape)
+        noise += data[lo:lo + rows]
+        np.maximum(noise, 0.0, out=noise)
+        out[lo:lo + rows] = noise
+    return vol.with_data(out)
 
 
 def _normalized_coords(n: int) -> np.ndarray:
@@ -190,13 +204,16 @@ def apply_artifact(vol: Volume, spec: ArtifactSpec) -> Volume:
     raise ValidationError(f"unknown artifact kind '{spec.kind}'")
 
 
+def companion_specs(master_seed: int) -> list[ArtifactSpec]:
+    """The specs of a scan's four corrupted companions, in ``KINDS`` order."""
+    return [sample_spec(kind, derive_seed(master_seed, i))
+            for i, kind in enumerate(KINDS)]
+
+
 def corrupt_scan(vol: Volume, master_seed: int) -> list[tuple[Volume, ArtifactSpec]]:
     """The four corrupted companions of one scan, seeded from master_seed."""
-    out = []
-    for i, kind in enumerate(KINDS):
-        spec = sample_spec(kind, derive_seed(master_seed, i))
-        out.append((apply_artifact(vol, spec), spec))
-    return out
+    return [(apply_artifact(vol, spec), spec)
+            for spec in companion_specs(master_seed)]
 
 
 # ---- sidecar provenance -------------------------------------------------

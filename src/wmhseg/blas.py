@@ -1,12 +1,13 @@
-"""OpenBLAS thread control for slice-parallel inference and data-parallel
-training.
+"""OpenBLAS thread control and the one worker pool of the package.
 
+``run_parallel`` runs independent tasks concurrently, each on one core:
+inference slices, training and validation batch shards, and the clean,
+mask and corrupted-companion writes of dataset generation. Inside the pool
 ``single_threaded()`` pins every OpenBLAS library loaded in the process to
-one thread and yields the thread count that was in effect before, so the
-caller can run that many slices or batch shards concurrently, each on one
-core. That count is ``OPENBLAS_NUM_THREADS`` as the process found it when
-numpy loaded OpenBLAS (the CPU count if unset, and at most that); setting it
-later changes nothing. It finds the libraries in ``/proc/self/maps`` and
+one thread and yields the thread count that was in effect before, which is
+the pool's budget. That count is ``OPENBLAS_NUM_THREADS`` as the process
+found it when numpy loaded OpenBLAS (the CPU count if unset, and at most
+that); setting it later changes nothing. It finds the libraries in ``/proc/self/maps`` and
 calls their ``*_get_num_threads``/``*_set_num_threads`` symbols through
 ctypes. Where none is found (no OpenBLAS, or no ``/proc``) it pins nothing
 and yields 1.
@@ -18,7 +19,9 @@ previous thread counts, and the last release restores them.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
+import os
 import threading
 
 # symbol name templates, "{}" is "get" or "set": numpy's bundled 64-bit
@@ -76,3 +79,61 @@ def single_threaded():
             if _pins == 0:
                 for set_, n in _saved:
                     set_(n)
+
+
+def run_parallel(task, n: int, after_wave=None) -> None:
+    """Run ``task(0)`` ... ``task(n - 1)`` concurrently, each on one core.
+
+    OpenBLAS is pinned to one thread for the pool, and the calling thread
+    plus (budget - 1) workers take indices from one shared counter, in
+    index order. The budget is the OpenBLAS thread count in effect before
+    (so ``OPENBLAS_NUM_THREADS`` at process start sets it), capped by the
+    usable CPUs and ``n``. Workers share process-wide state such as
+    ``tensor.no_grad``, and each runs in a copy of the caller's context, so
+    the caller's ``np.errstate`` holds on every thread. The first error
+    raised by any task is re-raised here once all have stopped.
+
+    With ``after_wave``, the indices run in waves of the budget, and the
+    calling thread calls ``after_wave(lo, hi)`` once ``task(lo)`` ...
+    ``task(hi - 1)`` have all finished, before the next wave starts.
+    """
+    take = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(counter):
+        try:
+            while not errors:
+                with take:
+                    k = next(counter, None)
+                if k is None:
+                    return
+                task(k)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    with single_threaded() as blas_threads:
+        budget = min(blas_threads, usable_cpus(), n)
+        width = n if after_wave is None else budget
+        for lo in range(0, n, max(width, 1)):
+            hi = min(lo + width, n)
+            counter = iter(range(lo, hi))
+            # the calling thread is one of the workers: fresh threads would
+            # each keep freed memory in a heap arena of their own
+            workers = [threading.Thread(target=contextvars.copy_context().run,
+                                        args=(work, counter))
+                       for _ in range(min(budget, hi - lo) - 1)]
+            for t in workers:
+                t.start()
+            work(counter)
+            for t in workers:
+                t.join()
+            if errors:
+                raise errors[0]
+            if after_wave is not None:
+                after_wave(lo, hi)
+
+
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -9,8 +9,9 @@ result and volumes reject non-finite voxels (exit 2), so a diverging run
 prints one error line.
 
 Worker threads: ``OPENBLAS_NUM_THREADS``, set when the process starts, is
-the thread budget of slice-parallel inference and the data-parallel training
-step (see ``training._run_parallel``).
+the thread budget of the package's one pool (``blas.run_parallel``), which
+runs slice-parallel inference, the data-parallel training step and the file
+writes of dataset generation (``phantom``).
 """
 
 from __future__ import annotations
@@ -197,11 +198,13 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .phantom import manifest_dir, read_manifest
-    from .training import evaluate, split_dataset
+    from .training import check_split_ratio, evaluate, split_dataset
     _echo("evaluate", {"checkpoint": args.checkpoint, "manifest": args.manifest,
                        "out": args.out, "split": args.split,
                        "split_seed": args.split_seed,
                        "split_ratio": args.split_ratio})
+    # checked whatever the split, so a bad value never passes unnoticed
+    check_split_ratio(args.split_ratio)
     entries = read_manifest(args.manifest)
     if args.split != "all":
         train_src, test_src = split_dataset(entries, args.split_ratio,

@@ -171,10 +171,6 @@ def write_nifti(vol: Volume, path) -> None:
     The file is replaced atomically: a failed write leaves the old one.
     """
     nx, ny, nz = vol.data.shape
-    # float32 voxels, x fastest, in one copy; as a flat byte view its len()
-    # is its byte count, which is what a raw file's write() reports
-    voxels = np.asfortranarray(vol.data, dtype=np.float32).ravel(order="F") \
-        .view(np.uint8)
 
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
@@ -193,11 +189,19 @@ def write_nifti(vol: Volume, path) -> None:
         if str(path).endswith(".gz"):
             # filename="" and mtime=0 keep the compressed bytes deterministic
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(header)
-                gz.write(voxels)
+                _write_voxels(gz, header, vol.data)
         else:
-            fh.write(header)
-            fh.write(voxels)
+            _write_voxels(fh, header, vol.data)
+
+
+def _write_voxels(fh, header: bytes, data: np.ndarray) -> None:
+    """The header, then the float32 voxels x fastest, one z-slice at a time
+    (no full-volume copy). Each slice goes as a flat byte view: its len() is
+    its byte count, which is what a raw file's write() reports."""
+    fh.write(header)
+    for k in range(data.shape[2]):
+        fh.write(np.ascontiguousarray(data[:, :, k].T, dtype=np.float32)
+                 .reshape(-1).view(np.uint8))
 
 
 def _crop_pad_bounds(extent: int, target: int) -> tuple[slice, slice]:

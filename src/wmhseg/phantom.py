@@ -9,7 +9,11 @@ and its invariants testable, not to look anatomical.
 ``generate_dataset`` mirrors the dataset assembly the trainer consumes:
 every clean volume is written with its mask and its four corrupted
 companions, and a manifest CSV (path, role, seed, source_id) lists every
-file. Paths in the manifest are relative to the manifest's directory.
+file. Paths in the manifest are relative to the manifest's directory. Once
+a phantom is drawn, its six files are made and written as independent
+tasks on the package's one pool (``blas.run_parallel``), under the
+``OPENBLAS_NUM_THREADS`` budget; every file, and the manifest order, is the
+same at any budget.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .artifacts import KINDS, corrupt_scan, write_sidecar
+from . import blas
+from .artifacts import KINDS, apply_artifact, companion_specs, write_sidecar
 from .errors import ConfigError, DataFormatError, ValidationError
 from .fileio import atomic_write
 from .nifti import Volume, write_nifti
@@ -149,7 +154,8 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
 
     sigma_vox = [SMOOTHING_SIGMA_MM / sp for sp in spacing]
     image = gaussian_filter(image, sigma=sigma_vox)
-    img_vol = Volume(np.clip(image, 0.0, None).astype(np.float32), spacing)
+    np.clip(image, 0.0, None, out=image)
+    img_vol = Volume(image.astype(np.float32), spacing)
     mask_vol = Volume(mask, spacing)
     return img_vol, mask_vol
 
@@ -157,6 +163,11 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
 def generate_dataset(n: int, master_seed: int, out_dir,
                      config: PhantomConfig | None = None) -> list[ManifestEntry]:
     """Write n phantoms + masks + 4 corruptions each, and a manifest CSV.
+
+    Each phantom's clean write, mask write and four corruptions (artifact,
+    volume and sidecar) run as six tasks on ``blas.run_parallel``; a
+    corrupted volume is dropped once written. The first error of any task
+    is raised here, and no manifest is written then.
 
     Returns the manifest entries; total image volumes written is 5n.
     """
@@ -170,20 +181,22 @@ def generate_dataset(n: int, master_seed: int, out_dir,
         source_id = f"phantom{i:03d}"
         seed_i = derive_seed(master_seed, i, 0)
         img, mask = generate_phantom(replace(base, seed=seed_i))
+        specs = companion_specs(derive_seed(master_seed, i, 1))
+        rows = [ManifestEntry(f"{source_id}.nii", "clean", seed_i, source_id),
+                ManifestEntry(f"{source_id}_mask.nii", "mask", seed_i, source_id)]
+        rows += [ManifestEntry(f"{source_id}_{spec.kind}.nii", spec.kind,
+                               spec.seed, source_id) for spec in specs]
 
-        img_name = f"{source_id}.nii"
-        mask_name = f"{source_id}_mask.nii"
-        write_nifti(img, out / img_name)
-        write_nifti(mask, out / mask_name)
-        entries.append(ManifestEntry(img_name, "clean", seed_i, source_id))
-        entries.append(ManifestEntry(mask_name, "mask", seed_i, source_id))
+        def write(k):
+            if k < 2:
+                write_nifti((img, mask)[k], out / rows[k].path)
+            else:
+                spec = specs[k - 2]
+                write_nifti(apply_artifact(img, spec), out / rows[k].path)
+                write_sidecar(out / (rows[k].path + ".spec"), spec)
 
-        corrupt_seed = derive_seed(master_seed, i, 1)
-        for cvol, spec in corrupt_scan(img, corrupt_seed):
-            cname = f"{source_id}_{spec.kind}.nii"
-            write_nifti(cvol, out / cname)
-            write_sidecar(out / (cname + ".spec"), spec)
-            entries.append(ManifestEntry(cname, spec.kind, spec.seed, source_id))
+        blas.run_parallel(write, len(rows))
+        entries += rows
     write_manifest(out / "manifest.csv", entries)
     return entries
 

@@ -14,20 +14,19 @@ checkpoint. Both files are replaced atomically; resuming refuses a pair
 torn by a crash between the two writes.
 
 Threads share the parameter arrays read-only. Training shards, validation
-shards and inference slices run on one pool (``_run_parallel``); a training
-shard accumulates gradients only into leaf tensors of its own; between
-waves of shards the calling thread adds them into the batch's sum, and it
-applies the Adam update once every shard of the batch has finished.
+shards and inference slices run on the package's one pool
+(``blas.run_parallel``, which dataset generation uses too), under the
+``OPENBLAS_NUM_THREADS`` budget; a training shard accumulates gradients
+only into leaf tensors of its own; between waves of shards the calling
+thread adds them into the batch's sum, and it applies the Adam update once
+every shard of the batch has finished.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import math
-import os
 import sys
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -78,6 +77,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.plateau_patience < 0:
+            raise ConfigError("plateau_patience must be >= 0, got "
+                              f"{self.plateau_patience}")
 
 
 @dataclass
@@ -96,11 +98,15 @@ class TrainState:
 # ---- dataset handling -----------------------------------------------------
 
 
+def check_split_ratio(ratio: float) -> None:
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"split_ratio must be in (0,1), got {ratio}")
+
+
 def split_dataset(entries: Sequence[ManifestEntry], ratio: float,
                   seed: int) -> tuple[list[str], list[str]]:
     """Shuffle unique source ids and split; variants follow their source."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split_ratio must be in (0,1), got {ratio}")
+    check_split_ratio(ratio)
     sources: list[str] = []
     seen = set()
     for e in entries:
@@ -233,7 +239,7 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
     """One pass over `order`; trains when a state is given.
 
     Each batch is split into contiguous shards of ``SHARD`` samples, which
-    run on the pool of ``_run_parallel``. A training shard runs on leaf
+    run on the pool of ``blas.run_parallel``. A training shard runs on leaf
     tensors of its own over the shared parameter arrays, so no two threads
     add into one ``.grad``. The loss is taken once, on the calling thread,
     over the concatenated shard outputs, and each shard's backward is
@@ -258,7 +264,7 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
             outs[k] = model_forward(Tensor(shards[k]), replicas[k], model_cfg)
 
         if training:
-            _run_parallel(forward, len(shards))
+            blas.run_parallel(forward, len(shards))
             heads = [Tensor(o.data, requires_grad=True) for o in outs]
             loss = combined_loss(T.concat(heads), y).total
             loss.backward()
@@ -275,12 +281,12 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
                             grads[path] = leaf.grad
                         leaf.grad = None
 
-            _run_parallel(lambda k: outs[k].backward(heads[k].grad),
-                          len(shards), after_wave=add_wave)
+            blas.run_parallel(lambda k: outs[k].backward(heads[k].grad),
+                              len(shards), after_wave=add_wave)
             adam_step(params, grads, state)
         else:
             with T.no_grad():
-                _run_parallel(forward, len(shards))
+                blas.run_parallel(forward, len(shards))
                 loss = combined_loss(T.concat(outs), y).total
         value = loss.item()
         if not np.isfinite(value):
@@ -376,9 +382,9 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
     volume's dims. The input is normalized with ``model_cfg``'s scope.
 
     Slices go through the model one at a time, on the pool of
-    ``_run_parallel``: the largest activation of a single 256x256 slice fits
-    in a core's L2 cache, a batch of them does not. Each slice's result is
-    independent of the budget.
+    ``blas.run_parallel``: the largest activation of a single 256x256 slice
+    fits in a core's L2 cache, a batch of them does not. Each slice's result
+    is independent of the budget.
     """
     batch = make_slice_batch(vol, model_cfg.input_size[0],
                              model_cfg.normalization_scope)
@@ -390,66 +396,8 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
         out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
 
     with T.no_grad():
-        _run_parallel(segment, vol.shape[2])
+        blas.run_parallel(segment, vol.shape[2])
     return out
-
-
-def _run_parallel(task, n: int, after_wave=None) -> None:
-    """Run ``task(0)`` ... ``task(n - 1)`` concurrently, each on one core.
-
-    OpenBLAS is pinned to one thread for the pool, and the calling thread
-    plus (budget - 1) workers take indices from one shared counter. The
-    budget is the OpenBLAS thread count in effect before (so
-    ``OPENBLAS_NUM_THREADS`` at process start sets it), capped by the usable
-    CPUs and ``n``. Workers share the caller's ``T.no_grad`` state,
-    which is process-wide, and each runs in a copy of the caller's context,
-    so the caller's ``np.errstate`` holds on every thread. The first error
-    raised by any task is re-raised here once all have stopped.
-
-    With ``after_wave``, the indices run in waves of the budget, and the
-    calling thread calls ``after_wave(lo, hi)`` once ``task(lo)`` ...
-    ``task(hi - 1)`` have all finished, before the next wave starts.
-    """
-    take = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work(counter):
-        try:
-            while not errors:
-                with take:
-                    k = next(counter, None)
-                if k is None:
-                    return
-                task(k)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    with blas.single_threaded() as blas_threads:
-        budget = min(blas_threads, _usable_cpus(), n)
-        width = n if after_wave is None else budget
-        for lo in range(0, n, max(width, 1)):
-            hi = min(lo + width, n)
-            counter = iter(range(lo, hi))
-            # the calling thread is one of the workers: fresh threads would
-            # each keep freed memory in a heap arena of their own
-            workers = [threading.Thread(target=contextvars.copy_context().run,
-                                        args=(work, counter))
-                       for _ in range(min(budget, hi - lo) - 1)]
-            for t in workers:
-                t.start()
-            work(counter)
-            for t in workers:
-                t.join()
-            if errors:
-                raise errors[0]
-            if after_wave is not None:
-                after_wave(lo, hi)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,

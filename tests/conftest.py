@@ -1,15 +1,36 @@
+import contextlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from wmhseg import blas
 from wmhseg.tensor import Tensor
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def force_budget(monkeypatch):
+    """``force_budget(n)`` runs every ``blas.run_parallel`` pool (inference,
+    training and validation shards, dataset generation) with ``n`` threads
+    whatever the BLAS and CPU counts; OpenBLAS is still pinned to one thread
+    inside the pool. Pass ``patch=`` a ``monkeypatch.context()`` to undo it
+    before the test ends."""
+    def force(n, patch=monkeypatch):
+        pin = blas.single_threaded
+
+        @contextlib.contextmanager
+        def pinned():
+            with pin():
+                yield n
+        patch.setattr(blas, "single_threaded", pinned)
+        patch.setattr(blas, "usable_cpus", lambda: n)
+    return force
 
 
 def edit_json_header(blob: bytes, edit) -> bytes:

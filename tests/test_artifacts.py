@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from wmhseg import artifacts
 from wmhseg.artifacts import (ArtifactSpec, KINDS, add_noise, apply_artifact,
                               apply_bias_field, apply_ghosting, bias_field,
-                              corrupt_scan, read_sidecar, sample_spec,
-                              write_sidecar, _bias_terms, _num_bias_coeffs)
+                              companion_specs, corrupt_scan, read_sidecar,
+                              sample_spec, write_sidecar, _bias_terms,
+                              _num_bias_coeffs)
 from wmhseg.errors import ValidationError
 from wmhseg.nifti import Volume
+from wmhseg.seeding import derive_seed
 
 
 def make_vol(rng, shape=(24, 24, 4), spacing=(1.0, 1.0, 3.0)):
@@ -55,6 +58,23 @@ class TestNoise:
         a = add_noise(vol, spec)
         b = add_noise(vol, spec)
         np.testing.assert_array_equal(a.data, b.data)
+
+    # one row, three rows with a short last block, all rows, the default
+    @pytest.mark.parametrize("block", [1, 3 * 29 * 5, 37 * 29 * 5, None])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blockwise_draw_equals_one_shot_draw(self, rng, monkeypatch,
+                                                 block, dtype):
+        if block is not None:
+            monkeypatch.setattr(artifacts, "NOISE_BLOCK_VOXELS", block)
+        data = rng.uniform(0.0, 1.0, (37, 29, 5)).astype(dtype)
+        spec = ArtifactSpec("noise", seed=11, noise_std=0.3)
+        sigma = 0.3 * float(data.max() - data.min())
+        noise = np.random.default_rng(derive_seed(11, 1)).normal(
+            0.0, sigma, size=data.shape)
+        want = np.maximum(noise + data, 0.0).astype(dtype)
+        got = add_noise(Volume(data, (1, 1, 1)), spec).data
+        assert got.dtype == dtype and (want == 0).any()
+        assert got.tobytes() == want.tobytes()
 
     def test_clipped_nonnegative(self, rng):
         vol = Volume(np.zeros((16, 16, 4), np.float32), (1, 1, 1))
@@ -175,6 +195,13 @@ class TestCorruptScan:
         out = corrupt_scan(vol, 9)
         assert len(out) == 4
         assert [spec.kind for _, spec in out] == list(KINDS)
+
+    def test_specs_are_the_companion_specs(self, rng):
+        vol = make_vol(rng)
+        assert repr([spec for _, spec in corrupt_scan(vol, 9)]) == \
+            repr(companion_specs(9))
+        assert [s.seed for s in companion_specs(9)] == \
+            [derive_seed(9, i) for i in range(len(KINDS))]
 
     def test_bookkeeping_270_sources_would_give_1350(self):
         # 1 clean + 4 corrupted per scan

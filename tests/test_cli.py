@@ -271,6 +271,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err.strip().splitlines() == \
             [f"error: lr must be finite and > 0, got {lr}"]
 
+    def test_negative_plateau_patience_rejected(self, dataset, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("plateau_patience=-3\n")
+        code = main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(tmp_path / "o"), "--model", "tiny",
+                     "--epochs", "1", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == \
+            ["error: plateau_patience must be >= 0, got -3"]
+        assert not (tmp_path / "o").exists()
+
     def test_resume_continues_numbering(self, dataset, tmp_path):
         args = ["train", "--manifest", str(dataset / "manifest.csv"),
                 "--out", str(tmp_path / "r"), "--model", "tiny",
@@ -645,6 +657,20 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.strip().splitlines() == \
             [f"error: split_ratio must be in (0,1), got {float(ratio)}"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("split", ["all", "train", "test"])
+    def test_evaluate_split_ratio_checked_for_every_split(
+            self, dataset, checkpoint, tmp_path, capsys, split):
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(out), "--split", split,
+                     "--split-ratio", "5"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == \
+            ["error: split_ratio must be in (0,1), got 5.0"]
         assert not out.exists()
 
 

@@ -216,6 +216,20 @@ class TestWriteNifti:
             gz.write(blob)
         assert packed.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_slice_chunks_give_header_then_fortran_voxels(self, tmp_path, rng,
+                                                          suffix):
+        # non-square, many slices, each slice larger than the gzip buffer
+        data = rng.random((301, 173, 7)).astype(np.float32)
+        path = tmp_path / ("v" + suffix)
+        write_nifti(Volume(data, (0.9, 1.1, 2.5)), path)
+        blob = path.read_bytes()
+        if suffix == ".nii.gz":
+            blob = gzip.decompress(blob)
+        assert len(blob) == 352 + data.nbytes
+        assert blob[:352] == build_nifti_bytes(data, pixdim=(0.9, 1.1, 2.5))[:352]
+        assert blob[352:] == data.tobytes(order="F")
+
     def test_xform_block_preserved(self, tmp_path, rng):
         data = rng.standard_normal((3, 3, 3)).astype(np.float32).clip(0, None)
         raw = bytearray(build_nifti_bytes(data))

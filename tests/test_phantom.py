@@ -1,12 +1,17 @@
 """Phantom generation: determinism, containment, dataset assembly."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from wmhseg import phantom
+from wmhseg.artifacts import corrupt_scan, write_sidecar
 from wmhseg.errors import ConfigError, ValidationError
-from wmhseg.nifti import read_nifti
+from wmhseg.nifti import read_nifti, write_nifti
+from wmhseg.seeding import derive_seed
 from wmhseg.phantom import (ManifestEntry, PhantomConfig, generate_dataset,
                             generate_phantom, manifest_dir, read_manifest,
                             write_manifest, _ellipsoid_mask)
@@ -175,9 +180,83 @@ class TestGenerateDataset:
         specs = sorted((tmp_path / "ds").glob("*.spec"))
         assert len(specs) == 4
 
+    @pytest.mark.parametrize("side", [256, 240, 288])
+    def test_any_budget_writes_the_serial_reference(self, tmp_path,
+                                                    monkeypatch, force_budget,
+                                                    side):
+        cfg = replace(SMALL, size=(side, side, 4))
+        serial_reference(2, 31, tmp_path / "ref", cfg)
+        want = {f.name: f.read_bytes() for f in (tmp_path / "ref").iterdir()}
+        assert len(want) == 2 * 10 + 1  # 6 volumes + 4 sidecars each, manifest
+        for budget in (1, 2):
+            with monkeypatch.context() as m:
+                force_budget(budget, patch=m)
+                generate_dataset(2, 31, tmp_path / f"b{budget}", config=cfg)
+            got = {f.name: f.read_bytes()
+                   for f in (tmp_path / f"b{budget}").iterdir()}
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name] == want[name], (budget, name)
+
+    def test_more_workers_than_tasks_write_the_serial_reference(
+            self, tmp_path, force_budget):
+        # eight threads for six tasks, with frequent thread switches: a task
+        # skipped, run twice or handed another phantom's data shows here
+        serial_reference(3, 8, tmp_path / "ref", SMALL)
+        force_budget(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            generate_dataset(3, 8, tmp_path / "ds", config=SMALL)
+        finally:
+            sys.setswitchinterval(interval)
+        for f in (tmp_path / "ref").iterdir():
+            assert (tmp_path / "ds" / f.name).read_bytes() == f.read_bytes()
+        assert len(list((tmp_path / "ds").iterdir())) == 3 * 10 + 1
+
+    def test_failing_artifact_task_raises_and_writes_no_manifest(
+            self, tmp_path, monkeypatch, force_budget):
+        force_budget(2)
+        inner = phantom.apply_artifact
+
+        def apply_artifact(vol, spec):
+            if spec.kind == "ghosting":
+                raise ValidationError("ghosting failed")
+            return inner(vol, spec)
+        monkeypatch.setattr(phantom, "apply_artifact", apply_artifact)
+        threads_before = threading.active_count()
+        with pytest.raises(ValidationError, match="ghosting failed"):
+            generate_dataset(2, 3, tmp_path / "ds", config=SMALL)
+        assert threading.active_count() == threads_before
+        names = {f.name for f in (tmp_path / "ds").iterdir()}
+        assert "manifest.csv" not in names
+        assert not any(n.startswith("phantom001") for n in names)
+        assert not any(n.startswith(".") for n in names)  # no temporary file
+
     def test_rejects_nonpositive_n(self, tmp_path):
         with pytest.raises(ValidationError):
             generate_dataset(0, 1, tmp_path / "ds", config=SMALL)
+
+
+def serial_reference(n, master_seed, out, config):
+    """The dataset written one file after another on the calling thread,
+    corrupted volumes from ``corrupt_scan``."""
+    out.mkdir()
+    entries = []
+    for i in range(n):
+        sid = f"phantom{i:03d}"
+        seed_i = derive_seed(master_seed, i, 0)
+        img, mask = generate_phantom(replace(config, seed=seed_i))
+        write_nifti(img, out / f"{sid}.nii")
+        write_nifti(mask, out / f"{sid}_mask.nii")
+        entries += [ManifestEntry(f"{sid}.nii", "clean", seed_i, sid),
+                    ManifestEntry(f"{sid}_mask.nii", "mask", seed_i, sid)]
+        for vol, spec in corrupt_scan(img, derive_seed(master_seed, i, 1)):
+            name = f"{sid}_{spec.kind}.nii"
+            write_nifti(vol, out / name)
+            write_sidecar(out / (name + ".spec"), spec)
+            entries.append(ManifestEntry(name, spec.kind, spec.seed, sid))
+    write_manifest(out / "manifest.csv", entries)
 
 
 class TestManifestIO:

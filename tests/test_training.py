@@ -1,6 +1,5 @@
 """Trainer: splits, Adam oracle, scheduler contract, loops, reproducibility."""
 
-import contextlib
 import csv
 import os
 import subprocess
@@ -472,20 +471,6 @@ def _blas_threads():
     return min((int(get()) for get, _ in blas._controls()), default=1)
 
 
-def _force_budget(monkeypatch, n):
-    """Run every ``_run_parallel`` pool (inference, training steps and
-    validation) with ``n`` threads whatever the BLAS and CPU counts; OpenBLAS
-    is still pinned to one thread inside the pool."""
-    pin = blas.single_threaded
-
-    @contextlib.contextmanager
-    def pinned():
-        with pin():
-            yield n
-    monkeypatch.setattr(blas, "single_threaded", pinned)
-    monkeypatch.setattr(training, "_usable_cpus", lambda: n)
-
-
 def _record_forwards(monkeypatch):
     """Wrap the model_forward that infer_volume calls; returns the log of
     (input bytes, probabilities, thread id, BLAS threads) per call."""
@@ -530,14 +515,14 @@ def plain_loop_mask(params, cfg, vol):
 # count is fixed when numpy loads, before any wmhseg code runs
 THREAD_PROBE = """
 import threading
-from wmhseg import blas, cli, training  # the console script imports cli
+from wmhseg import blas, cli  # the console script imports cli
 if not blas._controls():
     print("no-openblas")
 else:
     with blas.single_threaded() as before:
         pass
     idents = set()
-    training._run_parallel(lambda k: idents.add(threading.get_ident()), 8)
+    blas.run_parallel(lambda k: idents.add(threading.get_ident()), 8)
     print(before, idents == {threading.get_ident()})
 """
 
@@ -560,7 +545,7 @@ class TestThreadKnob:
         assert self.probe("1") == ["1", "True"]
 
     def test_two_threads_are_the_budget(self):
-        if training._usable_cpus() < 2:
+        if blas.usable_cpus() < 2:
             pytest.skip("fewer than 2 usable CPUs")
         assert self.probe("2")[0] == "2"
 
@@ -574,9 +559,9 @@ class TestSliceParallelInference:
     @pytest.mark.parametrize("budget", [1, 3, None], ids=["1", "3", "blas"])
     @pytest.mark.parametrize("slices", [1, 3, 5])
     @pytest.mark.parametrize("side", [28, 36])  # padded / cropped to 32
-    def test_masks_equal_plain_loop(self, monkeypatch, side, slices, budget):
+    def test_masks_equal_plain_loop(self, force_budget, side, slices, budget):
         if budget is not None:
-            _force_budget(monkeypatch, budget)
+            force_budget(budget)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 3)
         vol = self.volume(side, slices)
@@ -587,7 +572,7 @@ class TestSliceParallelInference:
         assert np.array_equal(got, want)
 
     def test_budget_one_and_two_bit_identical(self, monkeypatch, blas_at_two):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 4)
         vol = self.volume(36, 6, seed=1)
@@ -618,8 +603,8 @@ class TestSliceParallelInference:
         monkeypatch.undo()
         assert np.array_equal(mask, plain_loop_mask(params, cfg, vol))
 
-    def test_nan_parameter_raises_from_worker(self, monkeypatch):
-        _force_budget(monkeypatch, 3)
+    def test_nan_parameter_raises_from_worker(self, force_budget):
+        force_budget(3)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 3)
         params["decoder.head.bias"].data[:] = np.nan
@@ -639,10 +624,10 @@ class TestSliceParallelInference:
             training.infer_volume(params, cfg, vol)
         assert _blas_threads() == 2
 
-    def test_flop_count_exact_under_workers(self, monkeypatch):
+    def test_flop_count_exact_under_workers(self, force_budget):
         # more workers than cores and frequent thread switches: a lost
         # update to the shared count would show as a shortfall
-        _force_budget(monkeypatch, 4)
+        force_budget(4)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 3)
         vol = self.volume(32, 8)
@@ -678,7 +663,7 @@ class TestDataParallelStep:
 
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("n", [4, 5])  # shards of 2, 2 and 2, 2, 1
-    def test_matches_batched_step(self, monkeypatch, n, budget):
+    def test_matches_batched_step(self, monkeypatch, force_budget, n, budget):
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 2)
         x, y = self.batch(n)
@@ -688,7 +673,7 @@ class TestDataParallelStep:
         for p in params.values():
             p.zero_grad()
 
-        _force_budget(monkeypatch, budget)
+        force_budget(budget)
         steps = _capture_grads(monkeypatch)
         got = training._epoch_pass(params, cfg, x, y, np.arange(n), n,
                                    state=TrainState())
@@ -702,7 +687,8 @@ class TestDataParallelStep:
         # every shard ran on leaves of its own: the shared ones got no grad
         assert all(p.grad is None for p in params.values())
 
-    def test_more_workers_than_cores_match_one_thread(self, monkeypatch):
+    def test_more_workers_than_cores_match_one_thread(self, monkeypatch,
+                                                      force_budget):
         # four shards on four threads with frequent thread switches: a shard
         # skipped, run twice or summed out of order would change the bits
         cfg = ModelConfig.tiny()
@@ -710,7 +696,7 @@ class TestDataParallelStep:
         runs = []
         for budget in (1, 4):
             with monkeypatch.context() as m:
-                _force_budget(m, budget)
+                force_budget(budget, patch=m)
                 steps = _capture_grads(m)
                 interval = sys.getswitchinterval()
                 sys.setswitchinterval(1e-6)
@@ -725,11 +711,12 @@ class TestDataParallelStep:
         assert loss1 == loss4
         assert all(np.array_equal(grads1[k], grads4[k]) for k in grads1)
 
-    def test_live_gradient_sets_bounded_by_budget(self, monkeypatch):
+    def test_live_gradient_sets_bounded_by_budget(self, monkeypatch,
+                                                   force_budget):
         # batch 8 is four shards; at budget 2 their backwards run in two
         # waves, and a wave's gradients are summed and dropped before the
         # next starts: the sum plus one set per thread, never one per shard
-        _force_budget(monkeypatch, 2)
+        force_budget(2)
         cfg = ModelConfig.tiny()
         x, y = self.batch(8)
         leaves, grads, live = [], [], []
@@ -757,8 +744,9 @@ class TestDataParallelStep:
         assert len(leaves) == 4 and len(steps) == 1
         assert max(live) == 3
 
-    def test_validation_matches_batched_forward_without_graph(self, monkeypatch):
-        _force_budget(monkeypatch, 2)
+    def test_validation_matches_batched_forward_without_graph(
+            self, monkeypatch, force_budget):
+        force_budget(2)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 2)
         x, y = self.batch(5)
@@ -782,7 +770,7 @@ class TestDataParallelStep:
                              ids=["train", "validation"])
     def test_nan_parameter_raises_on_caller(self, monkeypatch, blas_at_two,
                                             training_step):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 2)
         params["decoder.head.bias"].data[:] = np.nan
@@ -796,8 +784,8 @@ class TestDataParallelStep:
         assert _blas_threads() == 2
         assert steps == [] and T._grad_enabled
 
-    def test_callers_errstate_applies_on_workers(self, monkeypatch):
-        _force_budget(monkeypatch, 2)
+    def test_callers_errstate_applies_on_workers(self, force_budget):
+        force_budget(2)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 2)
         params["stage1.embed.weight"].data *= np.float32(1e38)
@@ -810,10 +798,11 @@ class TestDataParallelStep:
         assert [str(w.message) for w in caught] == []
 
     def test_budget_one_and_two_give_identical_runs(self, monkeypatch,
-                                                    dataset, tmp_path):
+                                                    force_budget, dataset,
+                                                    tmp_path):
         tcfg = TrainConfig(lr=1e-3, batch_size=5, epochs=2, seed=8)
         for budget in (1, 2):
             with monkeypatch.context() as m:
-                _force_budget(m, budget)
+                force_budget(budget, patch=m)
                 train(tcfg, ModelConfig.tiny(), dataset, tmp_path / f"b{budget}")
         assert run_outputs(tmp_path / "b1") == run_outputs(tmp_path / "b2")

@@ -20,17 +20,26 @@ Models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_key_values
 from .fourier import fft2, ifft2
 from .nifti import Volume
 from .seeding import derive_seed
 
-KINDS = ("noise", "bias", "ghosting", "noise_bias")
+# the keys each kind records after kind and seed, in sidecar order: the
+# parameters its corruption reads, which the spec checks and the sidecar holds
+KIND_KEYS = {
+    "noise": ("noise_std",),
+    "bias": ("bias_order", "bias_coeffs"),
+    "ghosting": ("ghost_count", "ghost_axis", "ghost_intensity"),
+    "noise_bias": ("noise_std", "bias_order", "bias_coeffs"),
+}
+KINDS = tuple(KIND_KEYS)
 
 NOISE_STD_RANGE = (0.02, 0.10)
 BIAS_ORDER = 3
@@ -39,10 +48,57 @@ GHOST_COUNT_RANGE = (2, 6)
 GHOST_INTENSITY_RANGE = (0.3, 0.9)
 GHOST_CENTER_FRACTION = 0.05
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_MAX_BIAS_EXPONENT = float(np.log(np.finfo(np.float32).max))
 
-@dataclass
+
+def _bias_exponent_bounded(coeffs) -> bool:
+    # |P| <= sum |c| on [-1,1]^3, so the bound keeps exp(P) finite in
+    # float32; each |c| is checked first so that the sum cannot overflow
+    mags = np.abs(np.asarray(coeffs, dtype=np.float64))
+    return mags.ndim == 1 and bool((mags <= _MAX_BIAS_EXPONENT).all()) \
+        and mags.sum() <= _MAX_BIAS_EXPONENT
+
+
+def _number(kind, lo, hi):
+    return lambda v: isinstance(v, kind) and lo <= v <= hi
+
+
+def _text(value) -> str:
+    """A value as its sidecar text."""
+    if np.ndim(value):
+        return ",".join(repr(float(c)) for c in value)
+    return str(value)
+
+
+# key -> (parser of its sidecar text, rule its value must pass, what the rule
+# asks for); a replayed spec drives allocations and RNG calls, so every value
+# a kind reads is checked
+_FIELDS = {
+    "kind": (str, lambda v: v in KINDS, "one of " + ", ".join(KINDS)),
+    "seed": (int, _number(Integral, -np.inf, np.inf), "an integer"),
+    "noise_std": (float, _number(Real, 0.0, _FLOAT_MAX), "a finite number >= 0"),
+    "bias_order": (int, _number(Integral, 0, np.inf), "an integer >= 0"),
+    "bias_coeffs": (lambda t: np.array([float(c) for c in t.split(",")]),
+                    _bias_exponent_bounded,
+                    f"comma-separated finite numbers whose absolute values sum "
+                    f"to at most {_MAX_BIAS_EXPONENT:.2f}"),
+    "ghost_count": (int, _number(Integral, 1, 2 ** 63 - 1),
+                    "an integer in [1, 2**63)"),
+    "ghost_axis": (str, lambda v: v in ("row", "col"), "row or col"),
+    "ghost_intensity": (float, _number(Real, 0.0, 1.0), "a number in [0, 1]"),
+}
+
+
+@dataclass(frozen=True)
 class ArtifactSpec:
-    """One corruption with its realized parameters and seed."""
+    """One corruption with its realized parameters and seed.
+
+    Valid by construction: ``kind``, ``seed`` and the keys the kind records
+    (``KIND_KEYS``) must pass their rules, and ``bias_coeffs`` must hold one
+    coefficient per monomial of degree <= ``bias_order``. Parameters the kind
+    does not read keep their defaults. Raises ValidationError naming the key.
+    """
     kind: str
     seed: int
     noise_std: float = 0.0
@@ -53,9 +109,17 @@ class ArtifactSpec:
     ghost_intensity: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown artifact kind '{self.kind}'; "
-                                  f"valid kinds: {', '.join(KINDS)}")
+        for key in ("kind", "seed") + KIND_KEYS.get(self.kind, ()):
+            _, valid, expected = _FIELDS[key]
+            if not valid(getattr(self, key)):
+                raise ValidationError(f"key '{key}' has invalid value "
+                                      f"{_text(getattr(self, key))!r}, "
+                                      f"expected {expected}")
+        if "bias_coeffs" in KIND_KEYS[self.kind]:
+            count, needed = len(self.bias_coeffs), _num_bias_coeffs(self.bias_order)
+            if count != needed:
+                raise ValidationError(f"key 'bias_coeffs' has {count} values, "
+                                      f"bias_order {self.bias_order} needs {needed}")
 
 
 def _num_bias_coeffs(order: int) -> int:
@@ -78,18 +142,18 @@ def _bias_terms(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sample_spec(kind: str, seed: int) -> ArtifactSpec:
     """Draw an ArtifactSpec with parameters from the default ranges."""
     rng = np.random.default_rng(derive_seed(seed, 0))
-    spec = ArtifactSpec(kind=kind, seed=seed)
+    params = {}
     if kind in ("noise", "noise_bias"):
-        spec.noise_std = float(rng.uniform(*NOISE_STD_RANGE))
+        params["noise_std"] = float(rng.uniform(*NOISE_STD_RANGE))
     if kind in ("bias", "noise_bias"):
-        spec.bias_coeffs = rng.uniform(*BIAS_COEFF_RANGE,
-                                       size=_num_bias_coeffs(BIAS_ORDER))
+        params["bias_coeffs"] = rng.uniform(*BIAS_COEFF_RANGE,
+                                            size=_num_bias_coeffs(BIAS_ORDER))
     if kind == "ghosting":
-        spec.ghost_count = int(rng.integers(GHOST_COUNT_RANGE[0],
-                                            GHOST_COUNT_RANGE[1] + 1))
-        spec.ghost_axis = "row" if rng.integers(2) == 0 else "col"
-        spec.ghost_intensity = float(rng.uniform(*GHOST_INTENSITY_RANGE))
-    return spec
+        params["ghost_count"] = int(rng.integers(GHOST_COUNT_RANGE[0],
+                                                 GHOST_COUNT_RANGE[1] + 1))
+        params["ghost_axis"] = "row" if rng.integers(2) == 0 else "col"
+        params["ghost_intensity"] = float(rng.uniform(*GHOST_INTENSITY_RANGE))
+    return ArtifactSpec(kind=kind, seed=seed, **params)
 
 
 # voxels of float64 noise drawn at a time (1 MiB); consecutive draws of one
@@ -135,7 +199,7 @@ def bias_field(shape: tuple[int, int, int], order: int,
     full-volume array is its output. All-zero coefficients give exactly 1.
     """
     expected = _num_bias_coeffs(order)
-    if coeffs is None or len(coeffs) != expected:
+    if len(coeffs) != expected:
         raise ValidationError(f"bias field of order {order} needs {expected} "
                               "coefficients")
     cube = np.zeros((order + 1,) * 3)
@@ -148,12 +212,7 @@ def bias_field(shape: tuple[int, int, int], order: int,
 
 def apply_bias_field(vol: Volume, spec: ArtifactSpec) -> Volume:
     """Multiplicative smooth inhomogeneity; strictly positive field."""
-    if spec.bias_order < 0:
-        raise ValidationError("bias_order must be >= 0")
-    coeffs = spec.bias_coeffs
-    if coeffs is None:
-        coeffs = np.zeros(_num_bias_coeffs(spec.bias_order))
-    field = bias_field(vol.shape, spec.bias_order, np.asarray(coeffs))
+    field = bias_field(vol.shape, spec.bias_order, spec.bias_coeffs)
     try:
         with np.errstate(over="raise"):
             field *= vol.data
@@ -173,10 +232,6 @@ def _ghost_line_mask(n: int, count: int) -> np.ndarray:
 
 def apply_ghosting(vol: Volume, spec: ArtifactSpec) -> Volume:
     """Periodic k-space line attenuation producing shifted anatomy replicas."""
-    if spec.ghost_count < 1:
-        raise ValidationError("ghost_count must be >= 1")
-    if spec.ghost_axis not in ("row", "col"):
-        raise ValidationError(f"ghost_axis must be row|col, got '{spec.ghost_axis}'")
     axis = 0 if spec.ghost_axis == "row" else 1
     factor = 1.0 - spec.ghost_intensity
     lines = _ghost_line_mask(vol.shape[axis], spec.ghost_count)
@@ -199,9 +254,7 @@ def apply_artifact(vol: Volume, spec: ArtifactSpec) -> Volume:
         return apply_bias_field(vol, spec)
     if spec.kind == "ghosting":
         return apply_ghosting(vol, spec)
-    if spec.kind == "noise_bias":
-        return add_noise(apply_bias_field(vol, spec), spec)
-    raise ValidationError(f"unknown artifact kind '{spec.kind}'")
+    return add_noise(apply_bias_field(vol, spec), spec)
 
 
 def companion_specs(master_seed: int) -> list[ArtifactSpec]:
@@ -221,90 +274,33 @@ def corrupt_scan(vol: Volume, master_seed: int) -> list[tuple[Volume, ArtifactSp
 
 def write_sidecar(path, spec: ArtifactSpec) -> None:
     """Record the exact spec (kind, seed, realized values) as key=value text."""
-    lines = [f"kind={spec.kind}", f"seed={spec.seed}"]
-    if spec.kind in ("noise", "noise_bias"):
-        lines.append(f"noise_std={spec.noise_std!r}")
-    if spec.kind in ("bias", "noise_bias"):
-        lines.append(f"bias_order={spec.bias_order}")
-        lines.append("bias_coeffs=" + ",".join(repr(float(c))
-                                               for c in spec.bias_coeffs))
-    if spec.kind == "ghosting":
-        lines.append(f"ghost_count={spec.ghost_count}")
-        lines.append(f"ghost_axis={spec.ghost_axis}")
-        lines.append(f"ghost_intensity={spec.ghost_intensity!r}")
+    lines = [f"{key}={_text(getattr(spec, key))}"
+             for key in ("kind", "seed") + KIND_KEYS[spec.kind]]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(c) for c in text.split(",")])
-
-
-_MAX_BIAS_EXPONENT = float(np.log(np.finfo(np.float32).max))
-
-
-def _bias_exponent_bounded(coeffs: np.ndarray) -> bool:
-    # |P| <= sum |c| on [-1,1]^3, so the bound keeps exp(P) finite in
-    # float32; each |c| is checked first so that the sum cannot overflow
-    mags = np.abs(coeffs)
-    return bool((mags <= _MAX_BIAS_EXPONENT).all()) \
-        and mags.sum() <= _MAX_BIAS_EXPONENT
-
-# key -> (parser, test the parsed value must pass, what the test asks for);
-# a replayed spec drives allocations and RNG calls, so every value is checked
-_SIDECAR_FIELDS = {
-    "kind": (str, lambda v: v in KINDS, "one of " + ", ".join(KINDS)),
-    "seed": (int, lambda v: True, "an integer"),
-    "noise_std": (float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0"),
-    "bias_order": (int, lambda v: v >= 0, "an integer >= 0"),
-    "bias_coeffs": (_floats, _bias_exponent_bounded,
-                    f"comma-separated finite numbers whose absolute values sum "
-                    f"to at most {_MAX_BIAS_EXPONENT:.2f}"),
-    "ghost_count": (int, lambda v: v >= 1, "an integer >= 1"),
-    "ghost_axis": (str, lambda v: v in ("row", "col"), "row or col"),
-    "ghost_intensity": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-}
-
-
 def read_sidecar(path) -> ArtifactSpec:
-    """Parse a sidecar written by :func:`write_sidecar`; unknown keys are ignored.
+    """Parse a sidecar written by :func:`write_sidecar`: ``kind``, ``seed``
+    and every key the kind records are required, other keys are ignored.
 
-    Raises DataFormatError naming the file and the key for a missing or
-    out-of-range value, and for bias coefficients that do not match the
-    bias order.
+    Raises DataFormatError naming the file, and the key or the line.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: undecodable text ({exc.reason})") from None
-    kv: dict[str, str] = {}
-    for line in lines:
-        line = line.strip()
-        if line and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            kv[key] = value
-    for key in ("kind", "seed"):
-        if key not in kv:
-            raise DataFormatError(f"{path}: missing key '{key}'")
+    entries = read_key_values(path, DataFormatError)
     fields = {}
-    for key, (parse, valid, expected) in _SIDECAR_FIELDS.items():
-        if key in kv:
-            try:
-                value = parse(kv[key])
-            except ValueError:
-                value = None
-            if value is None or not valid(value):
-                raise DataFormatError(f"{path}: key '{key}' has invalid value "
-                                      f"{kv[key]!r}, expected {expected}")
-            fields[key] = value
-    if fields["kind"] in ("bias", "noise_bias"):
-        if "bias_coeffs" not in fields:
-            raise DataFormatError(f"{path}: missing key 'bias_coeffs'")
-        order = fields.get("bias_order", BIAS_ORDER)
-        expected = _num_bias_coeffs(order)
-        if len(fields["bias_coeffs"]) != expected:
-            raise DataFormatError(
-                f"{path}: key 'bias_coeffs' has {len(fields['bias_coeffs'])} "
-                f"values, bias_order {order} needs {expected}")
-    return ArtifactSpec(**fields)
+    kind = entries.get("kind", (0, ""))[1]
+    for key in ("kind", "seed") + KIND_KEYS.get(kind, ()):
+        if key not in entries:
+            raise DataFormatError(f"{path}: missing key '{key}'")
+        number, text = entries[key]
+        parse, _, expected = _FIELDS[key]
+        try:
+            fields[key] = parse(text)
+        except ValueError:
+            raise DataFormatError(f"{path}, line {number}: key '{key}' has "
+                                  f"invalid value {text!r}, expected "
+                                  f"{expected}") from None
+    try:
+        return ArtifactSpec(**fields)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,6 @@ def _parse_value(raw: str, default):
         if len(parts) != len(default):
             raise ValueError
         return tuple(_parse_value(v, d) for v, d in zip(parts, default))
-    raw = raw.strip()
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
             raise ValueError
@@ -69,28 +69,17 @@ def _read_config_file(path, defaults: dict) -> dict:
     """key=value lines, each parsed as the type of the key's entry in
     ``defaults``; a key not in ``defaults`` is an error."""
     from .errors import ConfigError
+    from .fileio import read_key_values
     values = {}
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for number, raw in enumerate(lines, 1):
+    for key, (number, text) in read_key_values(path, ConfigError).items():
         where = f"{path}, line {number}"
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{where}: undecodable text ({exc.reason})") from None
-        if not line or line.startswith("#"):
-            continue
-        key, sep, text = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ConfigError(f"{where}: expected key=value, got {line!r}")
         if key not in defaults:
-            raise ConfigError(f"{where}: unknown key '{key}'; known keys: "
+            raise ConfigError(f"{where}: unknown key {key!r}; known keys: "
                               f"{', '.join(sorted(defaults))}")
         try:
             values[key] = _parse_value(text, defaults[key])
         except ValueError:
-            raise ConfigError(f"{where}: cannot parse {key}={text.strip()!r}: "
+            raise ConfigError(f"{where}: cannot parse {key}={text!r}: "
                               f"expected {_expected(defaults[key])}") from None
     return values
 
@@ -115,18 +104,12 @@ def _echo(command: str, cfg: dict) -> None:
 
 def cmd_phantom(args) -> int:
     from .phantom import PhantomConfig, generate_dataset
-    base = PhantomConfig()
-    defaults = {"n": 10, "seed": 0, "size": base.size,
-                "num_lesions_range": base.num_lesions_range,
-                "lesion_radius_mm": base.lesion_radius_mm,
-                "spacing": base.spacing}
+    phantom_defaults = asdict(PhantomConfig())
+    defaults = dict(phantom_defaults, n=10)
     cfg = _effective(defaults, args.config,
                      {"n": args.n, "seed": args.seed, "size": args.size})
     _echo("phantom", cfg)
-    pc = PhantomConfig(size=tuple(cfg["size"]),
-                       num_lesions_range=tuple(cfg["num_lesions_range"]),
-                       lesion_radius_mm=tuple(cfg["lesion_radius_mm"]),
-                       spacing=tuple(cfg["spacing"]))
+    pc = PhantomConfig(**{k: cfg[k] for k in phantom_defaults})
     entries = generate_dataset(cfg["n"], cfg["seed"], args.out, config=pc)
     print(f"wrote {len(entries)} manifest rows to "
           f"{Path(args.out) / 'manifest.csv'}")
@@ -155,7 +138,6 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from dataclasses import asdict
     from .model import ModelConfig
     from .training import TrainConfig, train
     train_defaults = asdict(TrainConfig())

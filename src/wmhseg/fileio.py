@@ -1,10 +1,11 @@
-"""Crash-safe replacement of output files."""
+"""Crash-safe replacement of output files, and the ``key=value`` text reader."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 import uuid
+from pathlib import Path
 
 
 @contextlib.contextmanager
@@ -28,3 +29,30 @@ def atomic_write(path):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def read_key_values(path, error) -> dict[str, tuple[int, str]]:
+    """The ``key=value`` lines of a UTF-8 text file, as key -> (line, value).
+
+    Blank lines and lines starting with ``#`` are skipped; keys and values
+    are stripped. Raises ``error`` (an exception type) naming the file and
+    the line for undecodable text, a line without ``=`` and a repeated key.
+    """
+    entries: dict[str, tuple[int, str]] = {}
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        where = f"{path}, line {number}"
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise error(f"{where}: undecodable text ({exc.reason})") from None
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise error(f"{where}: expected key=value, got {line!r}")
+        if key in entries:
+            raise error(f"{where}: repeated key {key!r} "
+                        f"(first on line {entries[key][0]})")
+        entries[key] = (number, value.strip())
+    return entries

@@ -24,7 +24,7 @@ import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
+from scipy.special import erf as _erf, expit as _expit
 
 from .errors import NumericsError, ShapeError, UsageError
 
@@ -372,14 +372,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    def fn(a):
-        out = np.empty_like(a)
-        pos = a >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-        e = np.exp(a[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
-    return _unary(x, fn, "sigmoid", lambda a, y, g: g * y * (1.0 - y))
+    return _unary(x, _expit, "sigmoid", lambda a, y, g: g * y * (1.0 - y))
 
 
 # float32 erf(t) ~ t*P(t^2)/Q(t^2) on t clamped to [-4, 4], beyond which

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import blas
 from . import tensor as T
+from .artifacts import KINDS
 from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
@@ -125,8 +126,7 @@ def split_dataset(entries: Sequence[ManifestEntry], ratio: float,
 
 def _image_entries(entries: Sequence[ManifestEntry], sources: set[str],
                    include_artifacts: bool) -> list[ManifestEntry]:
-    roles = {"clean", "noise", "bias", "ghosting", "noise_bias"} \
-        if include_artifacts else {"clean"}
+    roles = {"clean", *KINDS} if include_artifacts else {"clean"}
     return [e for e in entries if e.role in roles and e.source_id in sources]
 
 

@@ -201,6 +201,14 @@ class TestAugmentCommand:
         (b"kind=noise_bias\nseed=3\nnoise_std=0.05\nbias_order=1\n",
          "'bias_coeffs'"),
         (b"kind=sparkle\nseed=3\n", "'kind'"),
+        # every key the kind records is required, and no value is assumed
+        (b"kind=noise\nseed=3\n", "'noise_std'"),
+        (b"kind=ghosting\nseed=3\nghost_count=2\n", "'ghost_axis'"),
+        (b"kind=ghosting\nseed=3\n", "'ghost_count'"),
+        (b"kind=ghosting\nseed=3\nghost_count=" + b"1" + b"0" * 29 +
+         b"\nghost_axis=row\nghost_intensity=0.5\n", "'ghost_count'"),
+        (b"kind=noise\nseed=3\nnoise_std=0.05\nnoise_std=0.06\n",
+         "line 4: repeated key 'noise_std'"),
     ])
     def test_malformed_sidecar_data_error(self, dataset, tmp_path, capsys,
                                           text, needle):
@@ -697,10 +705,12 @@ class TestConfigFile:
         ("phantom", b"lesion_intensity=0.9\n", ("line 1", "'lesion_intensity'")),
         # the architecture is chosen with --model alone
         ("train", b"stage_channels=8,8,8,8\n", ("line 1", "'stage_channels'")),
+        ("phantom", b"n=1\nn=2\n", ("line 2", "repeated key 'n'")),
     ], ids=["train-typo", "train-removed-key", "no-equals", "undecodable",
             "phantom-typo", "unparsable", "int-key", "float-key", "float-nan", "tuple-key",
             "tuple-length", "bool-key", "train-fixed-adam-key",
-            "phantom-fixed-intensity-key", "train-architecture-key"])
+            "phantom-fixed-intensity-key", "train-architecture-key",
+            "repeated-key"])
     def test_bad_config_usage_error(self, dataset, tmp_path, capsys, command,
                                     text, needles):
         cfg = tmp_path / "run.cfg"

@@ -456,6 +456,17 @@ class TestSigmoid:
         np.testing.assert_allclose(out.data[1] + out.data[3], 1.0, rtol=1e-14)
         check_grad(lambda v: T.sigmoid(v), rng.standard_normal((3, 4)), rng)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relative_error_within_rounding(self, dtype):
+        # a few roundings of eps/2 each, against an extended-precision oracle
+        if np.finfo(np.longdouble).eps >= np.finfo(dtype).eps:
+            pytest.skip("long double is no wider than the dtype here")
+        x = np.linspace(-40.0, 40.0, 20001).astype(dtype)
+        want = 1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))
+        got = T.sigmoid(Tensor(x, dtype=dtype)).data
+        assert got.dtype == dtype
+        assert (np.abs(got - want) / want).max() <= 2 * np.finfo(dtype).eps
+
 
 # ---- bilinear resize -----------------------------------------------------------
 

@@ -3,10 +3,10 @@
 Flag precedence: explicit CLI flags override config-file values, which
 override built-in defaults; the effective configuration is echoed verbatim
 before work starts. Exit codes: 0 success, 1 usage/config error, 2 data or
-format error, 3 numerical failure. Commands run with numpy's floating-point
-warnings off: tensor ops raise ``NumericsError`` (exit 3) on a non-finite
-result and volumes reject non-finite voxels (exit 2), so a diverging run
-prints one error line.
+format error, 3 numerical failure, 4 out of memory. Commands run with
+numpy's floating-point warnings off: tensor ops raise ``NumericsError``
+(exit 3) on a non-finite result and volumes reject non-finite voxels
+(exit 2), so a diverging run prints one error line.
 
 Worker threads: ``OPENBLAS_NUM_THREADS``, set when the process starts, is
 the thread budget of the package's one pool (``blas.run_parallel``), which
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_MEMORY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,8 +154,13 @@ def cmd_train(args) -> int:
                "tiny": ModelConfig.tiny}
     if cfg["model"] not in presets:
         raise ValueError(f"unknown model preset '{cfg['model']}'")
-    result = train(train_cfg, presets[cfg["model"]](), args.manifest, args.out,
-                   resume=args.resume)
+    try:
+        result = train(train_cfg, presets[cfg["model"]](), args.manifest,
+                       args.out, resume=args.resume)
+    except MemoryError as exc:
+        raise MemoryError(f"batch size {train_cfg.batch_size}"
+                          + (f" ({exc})" if str(exc) else "")
+                          + "; a smaller --batch-size needs less") from None
     last = result.history[-1]
     print(f"finished epoch {last['epoch']}: train {last['train_loss']:.4f} "
           f"val {last['val_loss']:.4f}")
@@ -268,6 +274,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):
@@ -276,6 +283,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
+    except MemoryError as exc:
+        print(f"error: {getattr(args, 'command', 'wmhseg')} ran out of memory"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_MEMORY
     except Exception as exc:  # map package errors onto documented exit codes
         from .errors import (ConfigError, DataFormatError, NumericsError,
                              UsageError, ValidationError)

@@ -17,7 +17,9 @@ def atomic_write(path):
     block raises, the temporary file is deleted and ``path`` keeps its old
     contents (or stays absent). This covers a write that fails midway and a
     process that dies before the rename; there is no fsync, so it does not
-    cover power loss.
+    cover power loss. An ``OSError`` that names no file (a failed write,
+    such as a full disk or a file-size limit) is raised again naming
+    ``path``.
     """
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:12]}.tmp")
@@ -26,8 +28,11 @@ def atomic_write(path):
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is None \
+                and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -240,9 +240,9 @@ def _project(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Linear map of channel-first tokens: [B,Cin,N] -> [B,Cout,N].
 
     ``weight`` is stored [Cin,Cout], as for channel-last tokens, and enters
-    through a transposed view.
+    through a transposed view; the bias is added inside the GEMM's op.
     """
-    return T.matmul(weight.transpose(1, 0), x) + bias.reshape(-1, 1)
+    return T.matmul(weight.transpose(1, 0), x, bias=bias)
 
 
 def overlap_patch_embed(x: Tensor, params: dict[str, Tensor], config: ModelConfig,
@@ -298,8 +298,7 @@ def efficient_attention(tokens: Tensor, h: int, w: int, p: dict[str, Tensor],
     qh = q.reshape(b, heads, d, n)
     kh = key.reshape(b, heads, d, m).transpose(0, 1, 3, 2)
     vh = val.reshape(b, heads, d, m)
-    scores = T.matmul(kh, qh) * (1.0 / math.sqrt(d))
-    weights = T.softmax(scores, axis=-2)
+    weights = T.softmax(T.matmul(kh, qh), axis=-2, scale=1.0 / math.sqrt(d))
     ctx = T.matmul(vh, weights).reshape(b, c, n)
     out = _project(ctx, p["out_weight"], p["out_bias"])
     return (out, weights.transpose(0, 1, 3, 2)) if return_weights else out

@@ -58,14 +58,19 @@ class PhantomConfig:
     def __post_init__(self):
         lo, hi = self.num_lesions_range
         r_lo, r_hi = self.lesion_radius_mm
-        # a radius of 0 paints no voxel, so lesion placement would never end
+        half = min(self.spacing, default=0.0) / 2
+        # placement redraws a lesion until it covers a voxel centre; a
+        # radius well below the spacing almost never does, so the lower
+        # radius is at least half the finest spacing
         for key, rule, ok in (
                 ("size", "3 entries >= 1",
                  len(self.size) == 3 and all(n >= 1 for n in self.size)),
                 ("spacing", "3 finite entries > 0", len(self.spacing) == 3
                  and all(0 < s < math.inf for s in self.spacing)),
                 ("num_lesions_range", "0 <= lo <= hi", 0 <= lo <= hi),
-                ("lesion_radius_mm", "0 < lo <= hi", 0 < r_lo <= r_hi)):
+                ("lesion_radius_mm", "0 < lo <= hi", 0 < r_lo <= r_hi),
+                ("lesion_radius_mm",
+                 f"lo >= half the smallest spacing ({half:g})", r_lo >= half)):
             if not ok:
                 raise ConfigError(f"phantom {key} must be {rule}, got "
                                   f"{getattr(self, key)}")

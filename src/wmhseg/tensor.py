@@ -448,21 +448,36 @@ def gelu(x: Tensor) -> Tensor:
 # ---- matmul ----------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product [..,M,K] x [..,K,P] -> [..,M,P]."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Batched matrix product [..,M,K] x [..,K,P] -> [..,M,P].
+
+    ``bias`` [M], if given, is added in place to every column of the
+    product, so ``matmul(a, b, bias)`` equals ``matmul(a, b) +
+    bias.reshape(-1, 1)`` bit for bit, gradients included, without keeping
+    the product before the add. Its gradient sums the leading axes one at a
+    time, then the columns, as that composition's backward does.
+    """
     a = _as_tensor(a, DEFAULT_DTYPE)
     b = _as_tensor(b, a.dtype)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires >=2D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    m = a.shape[-2]
+    if bias is not None and bias.shape != (m,):
+        raise ShapeError(f"matmul bias must have shape ({m},), got {bias.shape}")
     data = np.matmul(a.data, b.data)
     _count_flops(2 * data.shape[-2] * data.shape[-1] * a.shape[-1]
                  * int(np.prod(data.shape[:-2], dtype=np.int64)))
-    out = _make(data, (a, b), "matmul")
+    if bias is not None:
+        data += bias.data[:, None]
+    out = _make(data, (a, b) if bias is None else (a, b, bias), "matmul")
     if out.requires_grad:
         def backward():
             g = out.grad
+            if bias is not None and bias.requires_grad:
+                gb = _unbroadcast(g, (m, 1))
+                bias._accumulate(gb.reshape(m), owned=gb is not g)
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.shape), owned=True)
@@ -683,11 +698,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # ---- softmax / layer norm ---------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Shift-stable softmax along ``axis``."""
+def softmax(x: Tensor, axis: int = -1, scale: Optional[float] = None) -> Tensor:
+    """Shift-stable softmax along ``axis`` of ``x * scale``.
+
+    The scale is one multiply in the input's dtype, forward and backward,
+    so the result and gradient equal ``softmax(x * scale)`` bit for bit;
+    the scaled copy becomes the output instead of staying in the graph.
+    """
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of bounds for shape {x.shape}")
-    data = x.data - x.data.max(axis=axis, keepdims=True)
+    s = None if scale is None else np.asarray(scale, dtype=x.dtype)
+    data = x.data if s is None else x.data * s
+    data = np.subtract(data, data.max(axis=axis, keepdims=True),
+                       out=None if s is None else data)
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
     out = _make(data, (x,), "softmax")
@@ -695,7 +718,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         def backward():
             g = out.grad
             dot = (g * data).sum(axis=axis, keepdims=True)
-            x._accumulate(data * (g - dot), owned=True)
+            gx = data * (g - dot)
+            if s is not None:
+                gx *= s
+            x._accumulate(gx, owned=True)
         out._backward = backward
     return out
 

@@ -6,6 +6,13 @@ never leak across partitions. Runs are bitwise reproducible for a fixed
 (epoch, train_loss, val_loss, lr, wall_time) where wall_time is the one
 measured, non-reproducible column.
 
+The training and validation sets are held as arrays for the whole run:
+the preprocessed float32 image slices, and each source's mask slices once,
+as uint8, with the mask row of every image slice. A clean scan and its four
+corrupted copies share one mask, so the masks take a twentieth of the
+images' bytes (a quarter when training on clean scans only). A batch's
+masks are gathered and made float32 when the batch is taken.
+
 Checkpoints use the model container, whose config records the training
 normalization scope that inference follows. Optimizer state for resuming
 lives in a sibling ``.state`` file (magic ``WMHT``) holding the Adam moments,
@@ -156,19 +163,24 @@ def _with_masks(entries: Sequence[ManifestEntry], base_dir,
 
 def load_slice_arrays(entries: Sequence[ManifestEntry], base_dir,
                       image_list: Sequence[ManifestEntry],
-                      model_cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack preprocessed image slices and matching mask slices; each
-    source's mask is cropped once for all of its images."""
+                      model_cfg: ModelConfig
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(images, masks, rows): the preprocessed float32 image slices
+    [N,1,S,S], each source's binary mask slices once, as uint8 [M,1,S,S],
+    and the mask row of each image slice, so ``masks[rows[i]]`` is the
+    mask of ``images[i]``."""
     target = model_cfg.input_size[0]
-    xs, ys, last = [], [], None
+    xs, ys, rows, last = [], [], [], None
     for _, img, ref in _with_masks(entries, base_dir, image_list):
         if ref is not last:
             last = ref
-            y = (crop_pad_volume(ref.data, target)[:, None] > 0.5).astype(np.float32)
+            first = sum(len(y) for y in ys)  # the source's first mask row
+            ys.append((crop_pad_volume(ref.data, target)[:, None] > 0.5)
+                      .astype(np.uint8))
         xs.append(make_slice_batch(img, target=target,
                                    scope=model_cfg.normalization_scope))
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)
+        rows.append(np.arange(first, first + len(ys[-1])))
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(rows)
 
 
 # ---- optimizer / scheduler -------------------------------------------------
@@ -234,9 +246,12 @@ class TrainResult:
 SHARD = 2  # samples per training shard; the last shard of a batch may hold 1
 
 
-def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
+def _epoch_pass(params, model_cfg, images, masks, rows, order, batch_size,
                 state=None) -> float:
     """One pass over `order`; trains when a state is given.
+
+    Image ``i`` is scored against ``masks[rows[i]]``, made float32 when its
+    batch is taken.
 
     Each batch is split into contiguous shards of ``SHARD`` samples, which
     run on the pool of ``blas.run_parallel``. A training shard runs on leaf
@@ -254,7 +269,7 @@ def _epoch_pass(params, model_cfg, images, masks, order, batch_size,
     for lo in range(0, len(order), batch_size):
         idx = order[lo:lo + batch_size]
         shards = np.split(images[idx], range(SHARD, len(idx), SHARD))
-        y = Tensor(masks[idx])
+        y = Tensor(masks[rows[idx]].astype(np.float32))
         replicas = [{path: Tensor(p.data, requires_grad=True)
                      for path, p in params.items()} for _ in shards] \
             if training else [params] * len(shards)
@@ -310,11 +325,11 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    tr_images, tr_masks = load_slice_arrays(
+    tr_images, tr_masks, tr_rows = load_slice_arrays(
         entries, base_dir,
         _image_entries(entries, set(train_src), train_cfg.include_artifacts),
         model_cfg)
-    va_images, va_masks = load_slice_arrays(
+    va_images, va_masks, va_rows = load_slice_arrays(
         entries, base_dir, _image_entries(entries, set(test_src), True),
         model_cfg)
 
@@ -350,9 +365,10 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
             t0 = time.perf_counter()
             order = state.rng.permutation(len(tr_images))
             train_loss = _epoch_pass(params, model_cfg, tr_images, tr_masks,
-                                     order, train_cfg.batch_size, state=state)
+                                     tr_rows, order, train_cfg.batch_size,
+                                     state=state)
             val_loss = _epoch_pass(params, model_cfg, va_images, va_masks,
-                                   np.arange(len(va_images)),
+                                   va_rows, np.arange(len(va_images)),
                                    train_cfg.batch_size)
             lr_after = plateau_scheduler(state, val_loss, train_cfg)
             state.epoch = epoch

@@ -1,17 +1,23 @@
 """Command line interface: subcommands, config precedence, exit codes."""
 
 import csv
+import errno
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wmhseg.training as training
-from wmhseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from wmhseg.cli import (EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK,
+                        EXIT_USAGE, main)
 from wmhseg.metrics import dice_score
 from wmhseg.model import load_checkpoint, model_forward, save_checkpoint
 from wmhseg.nifti import make_slice_batch, read_nifti, write_nifti
@@ -130,8 +136,9 @@ class TestPhantomCommand:
         ("num_lesions_range=-2,-1\n", "32,32,3", "num_lesions_range"),
         ("spacing=1,0,1\n", "32,32,3", "spacing"),
         ("", "0,32,3", "size"),
+        ("lesion_radius_mm=0.002,0.004\n", "32,32,3", "lesion_radius_mm"),
     ], ids=["zero-radius", "negative-radius", "negative-count",
-            "zero-spacing", "zero-size"])
+            "zero-spacing", "zero-size", "sub-voxel-radius"])
     def test_out_of_range_config_usage_error(self, tmp_path, capsys, text,
                                              size, key):
         cfg = tmp_path / "phantom.cfg"
@@ -643,6 +650,82 @@ class TestDamagedNiftiHeader:
             code = main([command] + args)
         assert_one_line_data_error(code, capsys, str(src))
         assert not (tmp_path / "o.nii").exists()
+
+
+# runs ``wmhseg`` with one resource limit set in this child process only:
+# RLIMIT_AS is the address space already mapped plus argv[2] bytes, and
+# RLIMIT_FSIZE is argv[2] bytes, with SIGXFSZ ignored so an oversized write
+# fails with EFBIG instead of killing the process
+LIMITED_CHILD = """
+import resource, signal, sys
+import wmhseg.training
+from wmhseg.cli import main
+kind, limit = sys.argv[1], int(sys.argv[2])
+if kind == "RLIMIT_AS":
+    with open("/proc/self/status") as fh:
+        limit += next(int(line.split()[1]) * 1024 for line in fh
+                      if line.startswith("VmSize:"))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(getattr(resource, kind), (limit, limit))
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def run_limited(kind: str, limit: int, args: list[str]):
+    """(exit code, stderr lines) of ``wmhseg args`` under one limit, on one
+    BLAS thread."""
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc to size the address-space limit")
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, kind,
+                           str(limit), *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
+class TestResourceLimits:
+    def test_out_of_memory_in_train_is_one_line(self, dataset, tmp_path):
+        # 40 training slices at batch 32 keep 16 two-sample default-model
+        # shard graphs (about 160 MB each) alive before the first backward
+        code, err = run_limited(
+            "RLIMIT_AS", 400 << 20,
+            ["train", "--manifest", str(dataset / "manifest.csv"),
+             "--out", str(tmp_path / "run"), "--model", "default",
+             "--batch-size", "32", "--epochs", "1"])
+        assert code == EXIT_MEMORY, err
+        assert len(err) == 1, err
+        assert err[0].startswith("error: train ran out of memory: batch size "
+                                 "32"), err
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
+    def test_out_of_memory_names_the_command(self, dataset, checkpoint,
+                                             tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(training, "infer_volume", exhausted)
+        code = main(["segment", "--checkpoint", str(checkpoint),
+                     "--in", str(dataset / "phantom000.nii"),
+                     "--out", str(tmp_path / "m.nii")])
+        assert code == EXIT_MEMORY
+        assert capsys.readouterr().err.splitlines() == \
+            ["error: segment ran out of memory"]
+        assert not (tmp_path / "m.nii").exists()
+
+    def test_file_size_limit_names_the_file(self, tmp_path):
+        # every volume of a 64x64x8 phantom is 128 KiB of float32 voxels
+        out = tmp_path / "data"
+        code, err = run_limited("RLIMIT_FSIZE", 64 << 10,
+                                ["phantom", "-n", "2", "--size", "64,64,8",
+                                 "--out", str(out)])
+        assert code == EXIT_DATA, err
+        assert err == [f"error: [Errno {errno.EFBIG}] "
+                       f"{os.strerror(errno.EFBIG)}: '{out / 'phantom000.nii'}'"]
+        # no partial file (nor its temporary) and no manifest
+        assert sorted(p.name for p in out.iterdir()) == []
 
 
 class TestUsage:

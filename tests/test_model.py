@@ -409,6 +409,35 @@ class TestModelForward:
         d = dice_score(pred, ref)
         assert 0.0 <= d <= 1.0
 
+    def test_graph_keeps_no_matmul_output_that_no_backward_reads(self, rng):
+        # a bias add broadcast onto a projection, or a constant scale of the
+        # attention scores, would keep the GEMM output alive for a backward
+        # that reads only the output gradient; the bias and the scale live
+        # inside matmul and softmax instead. Residual adds of a projection
+        # to the token stream (same shapes, no broadcast) stay.
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 0)
+        x = Tensor(rng.uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        out = model_forward(x, params, cfg)
+        nodes, stack, seen = [], [out], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        for n in nodes:
+            if n._op in ("add", "mul") and any(p._op == "matmul"
+                                               for p in n._parents):
+                assert n._op == "add" and all(
+                    p.shape == n.shape for p in n._parents), \
+                    f"{n._op} of {[p.shape for p in n._parents]}"
+        ops = [n._op for n in nodes]
+        biased = [n for n in nodes if n._op == "matmul" and len(n._parents) == 3]
+        # q, k, v, out, fc1, fc2 per block, plus sr where reduction > 1
+        assert len(biased) == 4 * 6 + sum(r > 1 for r in cfg.reduction_factors)
+        assert ops.count("softmax") == 4
+
 
 class TestInitParameters:
     def test_same_seed_bitwise_identical(self):

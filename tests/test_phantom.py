@@ -90,10 +90,21 @@ class TestPhantomConfig:
         # a zero radius paints no voxel: lesion placement would never end
         ("lesion_radius_mm", (0.0, 0.0)), ("lesion_radius_mm", (0.0, 2.0)),
         ("lesion_radius_mm", (-3.0, -1.0)), ("lesion_radius_mm", (3.0, 2.0)),
+        # far below the voxel size a lesion almost never covers a voxel
+        # centre, and placement redraws it until one does
+        ("lesion_radius_mm", (0.002, 0.004)),
     ])
     def test_out_of_range_rejected_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             replace(SMALL, **{key: value})
+
+    def test_lower_radius_bound_is_half_the_finest_spacing(self):
+        with pytest.raises(ConfigError, match=r"lesion_radius_mm must be lo >= "
+                           r"half the smallest spacing \(0\.25\)"):
+            replace(SMALL, spacing=(0.5, 1.0, 3.0), lesion_radius_mm=(0.2, 1.0))
+        cfg = replace(SMALL, spacing=(0.5, 1.0, 3.0), lesion_radius_mm=(0.25, 1.0))
+        img, mask = generate_phantom(replace(cfg, num_lesions_range=(3, 3)))
+        assert mask.data.any()
 
     def test_edges_accepted(self):
         cfg = replace(SMALL, num_lesions_range=(0, 0),

@@ -64,6 +64,55 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
         check_grad(lambda x: T.matmul(a, x), rng.standard_normal((5, 3)), rng)
 
+    @pytest.mark.parametrize("a_shape,b_shape,transposed", [
+        ((4, 5), (5, 3), False),
+        ((6, 5), (2, 5, 7), True),    # a projection: W^T [Cout,Cin] @ x [B,Cin,N]
+        ((2, 3, 4, 5), (2, 3, 5, 6), False),
+        ((3, 2), (2, 1), False)])     # one column: the bias gradient is g itself
+    def test_bias_matches_add_composition(self, rng, a_shape, b_shape,
+                                          transposed):
+        # float32, as in the model: output and all three gradients bit for bit
+        a0, b0 = (rng.standard_normal(s).astype(np.float32)
+                  for s in (a_shape[::-1] if transposed else a_shape, b_shape))
+        c0 = rng.standard_normal(a_shape[-2]).astype(np.float32)
+        probe = rng.standard_normal(np.matmul(np.zeros(a_shape), b0).shape) \
+            .astype(np.float32)
+
+        def run(fused):
+            a, b, c = (Tensor(v, requires_grad=True) for v in (a0, b0, c0))
+            w = a.transpose(1, 0) if transposed else a
+            out = T.matmul(w, b, bias=c) if fused \
+                else T.matmul(w, b) + c.reshape(-1, 1)
+            (out * Tensor(probe)).sum().backward()
+            return out.data, a.grad, b.grad, c.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_bias_gradients_against_finite_differences(self, rng):
+        w = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
+        x = Tensor(rng.standard_normal((2, 5, 4)), dtype=np.float64)
+        c = Tensor(rng.standard_normal(3), dtype=np.float64)
+        check_grad(lambda v: T.matmul(v, x, bias=c), rng.standard_normal((3, 5)), rng)
+        check_grad(lambda v: T.matmul(w, v, bias=c),
+                   rng.standard_normal((2, 5, 4)), rng)
+        check_grad(lambda v: T.matmul(w, x, bias=v), rng.standard_normal(3), rng)
+
+    def test_bias_is_one_node_counted_as_the_gemm(self, rng):
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 5, 4)))
+        c = Tensor(rng.standard_normal(3), requires_grad=True)
+        with FlopCounter() as counter:
+            out = T.matmul(w, x, bias=c)
+        assert counter.flops == 2 * 2 * 3 * 4 * 5
+        assert out._op == "matmul" and out._parents == (w, x, c)
+
+    def test_bias_of_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"bias must have shape \(3,\)"):
+            T.matmul(Tensor(np.zeros((3, 5))), Tensor(np.zeros((5, 4))),
+                     bias=Tensor(np.zeros(4)))
+
 
 # ---- conv2d -----------------------------------------------------------------
 
@@ -315,6 +364,37 @@ class TestSoftmax:
     def test_gradient_axis_minus_2(self, rng):
         check_grad(lambda x: T.softmax(x, axis=-2),
                    rng.standard_normal((2, 3, 5, 4)), rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_scale_matches_softmax_of_scaled_input(self, rng, dtype, axis):
+        # forward and backward bit for bit against softmax(x * s)
+        x0 = (rng.standard_normal((2, 3, 5, 4)) * 4).astype(dtype)
+        kept = x0.copy()
+        probe = rng.standard_normal(x0.shape).astype(dtype)
+        s = 1.0 / math.sqrt(8)
+
+        def run(fused):
+            x = Tensor(x0, requires_grad=True)
+            out = T.softmax(x, axis=axis, scale=s) if fused \
+                else T.softmax(x * s, axis=axis)
+            (out * Tensor(probe)).sum().backward()
+            return out.data, x.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(x0, kept)  # the input is not written
+
+    def test_scale_gradient(self, rng):
+        check_grad(lambda x: T.softmax(x, axis=-2, scale=0.37),
+                   rng.standard_normal((2, 3, 5, 4)), rng)
+
+    def test_unscaled_input_not_written(self, rng):
+        x0 = rng.standard_normal((3, 6))
+        kept = x0.copy()
+        T.softmax(Tensor(x0, dtype=np.float64), axis=-1)
+        np.testing.assert_array_equal(x0, kept)
 
 
 class TestLayerNorm:

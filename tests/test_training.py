@@ -388,6 +388,35 @@ class TestInferVolume:
         assert (mask[~near] == want[~near]).all()
 
 
+class TestLoadSliceArrays:
+    def test_one_uint8_mask_stack_per_source(self, dataset):
+        from wmhseg.nifti import crop_pad_volume, read_nifti
+        cfg = ModelConfig.tiny()
+        entries = read_manifest(dataset)
+        base = manifest_dir(dataset)
+        sources = ["phantom002", "phantom000"]
+        images = training._image_entries(entries, set(sources), True)
+        x, masks, rows = training.load_slice_arrays(entries, base, images, cfg)
+        depth, size = PHANTOM.size[2], cfg.input_size[0]
+        assert masks.dtype == np.uint8
+        assert masks.shape == (len(sources) * depth, 1, size, size)
+        assert x.dtype == np.float32 and len(x) == len(rows) == 5 * len(masks)
+        assert rows.dtype.kind == "i" and set(rows) == set(range(len(masks)))
+        # the old layout: one float32 copy of the source's mask per image,
+        # in the order the images are stacked
+        want_x, want_y = [], []
+        for e in images:
+            ref = read_nifti(f"{base}/{e.source_id}_mask.nii").data
+            want_x.append(make_slice_batch(read_nifti(f"{base}/{e.path}"),
+                                           target=size, scope="slice"))
+            want_y.append((crop_pad_volume(ref, size)[:, None] > 0.5)
+                          .astype(np.float32))
+        np.testing.assert_array_equal(x, np.concatenate(want_x))
+        gathered = masks[rows].astype(np.float32)
+        np.testing.assert_array_equal(gathered, np.concatenate(want_y))
+        assert gathered.any() and not gathered.all()
+
+
 class TestEvaluate:
     def test_reference_masks_give_dice_one(self, dataset, tmp_path,
                                            monkeypatch):
@@ -675,8 +704,8 @@ class TestDataParallelStep:
 
         force_budget(budget)
         steps = _capture_grads(monkeypatch)
-        got = training._epoch_pass(params, cfg, x, y, np.arange(n), n,
-                                   state=TrainState())
+        got = training._epoch_pass(params, cfg, x, y, np.arange(n), np.arange(n),
+                                   n, state=TrainState())
         assert got == loss.item()  # the loss is bit-identical
         (grads,) = steps
         assert grads.keys() == want.keys()
@@ -702,8 +731,8 @@ class TestDataParallelStep:
                 sys.setswitchinterval(1e-6)
                 try:
                     loss = training._epoch_pass(
-                        init_parameters(cfg, 2), cfg, x, y, np.arange(7), 7,
-                        state=TrainState())
+                        init_parameters(cfg, 2), cfg, x, y, np.arange(7),
+                        np.arange(7), 7, state=TrainState())
                 finally:
                     sys.setswitchinterval(interval)
             runs.append((loss, steps[0]))
@@ -740,7 +769,7 @@ class TestDataParallelStep:
         monkeypatch.setattr(Tensor, "backward", backward)
         steps = _capture_grads(monkeypatch)
         training._epoch_pass(init_parameters(cfg, 2), cfg, x, y, np.arange(8),
-                             8, state=TrainState())
+                             np.arange(8), 8, state=TrainState())
         assert len(leaves) == 4 and len(steps) == 1
         assert max(live) == 3
 
@@ -761,7 +790,8 @@ class TestDataParallelStep:
             log.append((p.requires_grad, p._parents))
             return p
         monkeypatch.setattr(training, "model_forward", forward)
-        got = training._epoch_pass(params, cfg, x, y, np.arange(5), 5)
+        got = training._epoch_pass(params, cfg, x, y, np.arange(5), np.arange(5),
+                                   5)
         assert got == want
         assert log == [(False, ())] * 3
         assert T._grad_enabled
@@ -779,7 +809,8 @@ class TestDataParallelStep:
         kwargs = dict(state=TrainState()) if training_step else {}
         threads_before = threading.active_count()
         with pytest.raises(NumericsError, match="non-finite"):
-            training._epoch_pass(params, cfg, x, y, np.arange(4), 4, **kwargs)
+            training._epoch_pass(params, cfg, x, y, np.arange(4), np.arange(4),
+                                 4, **kwargs)
         assert threading.active_count() == threads_before
         assert _blas_threads() == 2
         assert steps == [] and T._grad_enabled
@@ -794,7 +825,8 @@ class TestDataParallelStep:
                 as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericsError, match="non-finite"):
-                training._epoch_pass(params, cfg, x, y, np.arange(4), 4)
+                training._epoch_pass(params, cfg, x, y, np.arange(4),
+                                     np.arange(4), 4)
         assert [str(w.message) for w in caught] == []
 
     def test_budget_one_and_two_give_identical_runs(self, monkeypatch,

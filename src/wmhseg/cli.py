@@ -3,10 +3,10 @@
 Flag precedence: explicit CLI flags override config-file values, which
 override built-in defaults; the effective configuration is echoed verbatim
 before work starts. Exit codes: 0 success, 1 usage/config error, 2 data or
-format error, 3 numerical failure, 4 out of memory. Commands run with
-numpy's floating-point warnings off: tensor ops raise ``NumericsError``
-(exit 3) on a non-finite result and volumes reject non-finite voxels
-(exit 2), so a diverging run prints one error line.
+format error, 3 numerical failure, 4 out of memory, 130 interrupted
+(SIGINT). Commands run with numpy's floating-point warnings off: tensor ops
+raise ``NumericsError`` (exit 3) on a non-finite result and volumes reject
+non-finite voxels (exit 2), so a diverging run prints one error line.
 
 Worker threads: ``OPENBLAS_NUM_THREADS``, set when the process starts, is
 the thread budget of the package's one pool (``blas.run_parallel``), which
@@ -29,6 +29,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_MEMORY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,6 +284,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
+    except KeyboardInterrupt:
+        print(f"error: {getattr(args, 'command', 'wmhseg')} interrupted",
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
     except MemoryError as exc:
         print(f"error: {getattr(args, 'command', 'wmhseg')} ran out of memory"
               + (f": {exc}" if str(exc) else ""), file=sys.stderr)

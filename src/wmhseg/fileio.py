@@ -15,21 +15,23 @@ def atomic_write(path):
     The bytes go to a temporary file in the same directory, which
     ``os.replace`` moves over ``path`` when the block exits normally. If the
     block raises, the temporary file is deleted and ``path`` keeps its old
-    contents (or stays absent). This covers a write that fails midway and a
-    process that dies before the rename; there is no fsync, so it does not
-    cover power loss. An ``OSError`` that names no file (a failed write,
-    such as a full disk or a file-size limit) is raised again naming
-    ``path``.
+    contents (or stays absent). This covers a write that fails midway, a
+    process that dies before the rename and one that is interrupted
+    (SIGINT); there is no fsync, so it does not cover power loss. An
+    ``OSError`` that names no file (a failed write, such as a full disk or a
+    file-size limit) is raised again naming ``path``.
     """
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:12]}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
+        with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
-        os.remove(tmp)
+        # an interrupt can land before the open or after the rename, when
+        # there is no temporary file
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
         if isinstance(exc, OSError) and exc.filename is None \
                 and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

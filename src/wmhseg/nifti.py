@@ -3,7 +3,9 @@
 The parser is self-contained: a 348-byte header (validated magic and size),
 little/big endian detected from the dim[0] in [1,7] heuristic, datatypes
 uint8/int16/int32/float32/float64, scl_slope/scl_inter applied on read when
-slope != 0. ``.nii.gz`` is handled through the stdlib DEFLATE decoder.
+slope != 0. ``.nii.gz`` is handled through the stdlib DEFLATE decoder, and
+every gzip stream is read to its end, so a damaged one (CRC-32, length,
+truncation, bad DEFLATE data) is rejected instead of read silently.
 Two-file pairs (magic ``ni1``) are read through their ``.hdr(.gz)`` name,
 with the voxels taken from the sibling ``.img(.gz)``.
 Writing always emits float32, vox_offset 352, magic ``n+1\\0``; write->read
@@ -21,9 +23,12 @@ Readers are pure; distinct paths may be read/written concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
+import os
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +46,9 @@ _DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
 
 # raw qform/sform byte span retained for round-trip provenance
 _XFORM_SPAN = (252, 328)
+
+# bytes decompressed per read of a gzip stream
+_CHUNK = 1 << 20
 
 
 @dataclass
@@ -67,16 +75,42 @@ class Volume:
         return Volume(data, self.spacing, self.xform_raw)
 
 
-def _open_maybe_gz(path, mode: str):
+@contextlib.contextmanager
+def _open_maybe_gz(path):
+    """``path`` opened for binary reading. A ``.gz`` stream is read to its
+    end when the block exits, so its CRC-32 and length get checked; a
+    damaged stream raises ``DataFormatError`` naming the file."""
     name = str(path)
-    if name.endswith(".gz"):
-        return gzip.open(name, mode)
-    return open(name, mode)
+    if not name.endswith(".gz"):
+        with open(name, "rb") as fh:
+            yield fh
+        return
+    try:
+        with gzip.open(name, "rb") as fh:
+            yield fh
+            while fh.read(_CHUNK):
+                pass
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataFormatError(f"{name}: damaged gzip stream ({exc})") from None
+
+
+def _read_at(fh, offset: int, size: int) -> bytes:
+    """At most ``size`` bytes of ``fh`` from ``offset``. A header can claim
+    more voxels than the file holds, so no more is allocated than the file
+    holds: a plain file's size is known, a gzip stream is read in chunks."""
+    fh.seek(offset)
+    if not isinstance(fh, gzip.GzipFile):
+        return fh.read(min(size, max(os.fstat(fh.fileno()).st_size - offset, 0)))
+    chunks = []
+    while size > 0 and (chunk := fh.read(min(size, _CHUNK))):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_nifti(path) -> Volume:
     """Parse a .nii(.gz) file, or a .hdr(.gz)/.img(.gz) pair, into a Volume."""
-    with _open_maybe_gz(path, "rb") as fh:
+    with _open_maybe_gz(path) as fh:
         header = fh.read(HEADER_SIZE)
         if len(header) < HEADER_SIZE:
             raise DataFormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
@@ -138,12 +172,10 @@ def read_nifti(path) -> Volume:
                 raise DataFormatError(f"{path}: 'ni1' magic marks a .hdr/.img pair "
                                       "header, but the name does not end in .hdr")
             img_path = name[: -len(suffix)] + suffix.replace(".hdr", ".img")
-            with _open_maybe_gz(img_path, "rb") as img_fh:
-                img_fh.seek(int(vox_offset))
-                raw = img_fh.read(count * dt.itemsize)
+            with _open_maybe_gz(img_path) as img_fh:
+                raw = _read_at(img_fh, int(vox_offset), count * dt.itemsize)
         else:
-            fh.seek(int(vox_offset))
-            raw = fh.read(count * dt.itemsize)
+            raw = _read_at(fh, int(vox_offset), count * dt.itemsize)
 
     if len(raw) < count * dt.itemsize:
         raise OSError(f"{path}: truncated data section "

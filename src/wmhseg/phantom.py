@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import blas
 from .artifacts import KINDS, apply_artifact, companion_specs, write_sidecar
@@ -108,6 +107,8 @@ def _ellipsoid_mask(shape, spacing, center_mm, semi_mm):
 
 def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
     """Deterministic (image, lesion mask) pair for the config's seed."""
+    # imported here: segment, train and evaluate load phantom for the manifest
+    from scipy.ndimage import gaussian_filter
     rng = np.random.default_rng(config.seed)
     shape = tuple(config.size)
     spacing = config.spacing
@@ -224,11 +225,19 @@ def read_manifest(path) -> list[ManifestEntry]:
         raise DataFormatError(f"{path}: undecodable text ({exc.reason})") from None
     entries = []
     reader = csv.DictReader(lines)
-    for row in reader:
-        where = f"{path}, line {reader.line_num}"
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # such as a field over csv's size limit
+        # the DictReader's own count is of the rows it has returned
+        raise DataFormatError(f"{path}, line {reader.reader.line_num}: "
+                              f"{exc}") from None
+    for number, row in rows:
+        where = f"{path}, line {number}"
         missing = [c for c in _MANIFEST_COLUMNS if row.get(c) is None]
         if missing:
             raise DataFormatError(f"{where}: missing column '{missing[0]}'")
+        if "\0" in row["path"]:
+            raise DataFormatError(f"{where}: path contains a NUL byte")
         if row["role"] not in _MANIFEST_ROLES:
             raise DataFormatError(f"{where}: unknown role {row['role']!r}, expected "
                                   f"one of {', '.join(_MANIFEST_ROLES)}")

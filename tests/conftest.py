@@ -1,11 +1,18 @@
 import contextlib
+import io
 import json
+import os
 import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wmhseg import blas
+from wmhseg.cli import (EXIT_DATA, EXIT_INTERRUPTED, EXIT_MEMORY,
+                        EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main)
 from wmhseg.tensor import Tensor
 
 
@@ -31,6 +38,59 @@ def force_budget(monkeypatch):
         patch.setattr(blas, "single_threaded", pinned)
         patch.setattr(blas, "usable_cpus", lambda: n)
     return force
+
+
+def child_env(**variables) -> dict[str, str]:
+    """The environment for a child interpreter that imports this package:
+    this process's, with the package's source directory leading
+    ``PYTHONPATH`` and ``variables`` set on top."""
+    src = str(Path(blas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
+def run_cli_checked(args) -> int:
+    """Run ``wmhseg args`` in this process and return its exit code, after
+    checking that it is a documented one and that stderr holds at most one
+    line and no traceback (a warning counts as a line)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    lines = err.getvalue().strip().splitlines() + [str(w.message)
+                                                   for w in caught]
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY,
+                    EXIT_INTERRUPTED), (code, lines)
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines
+    return code
+
+
+def edit_bytes(data, blob: bytes) -> bytes:
+    """``blob`` with one to four bytes flipped, inserted or deleted."""
+    edits = data.draw(st.lists(st.tuples(
+        st.sampled_from(("flip", "insert", "delete")),
+        st.integers(0, len(blob)), st.integers(1, 255)),
+        min_size=1, max_size=4), label="edits")
+    out = bytearray(blob)
+    for op, at, byte in edits:
+        if op == "insert":
+            out.insert(at % (len(out) + 1), byte)
+        elif op == "flip":
+            out[at % len(out)] ^= byte
+        elif len(out) > 1:
+            del out[at % len(out)]
+    return bytes(out)
+
+
+def edit_lines(data, blob: bytes) -> bytes:
+    """``blob``'s lines picked by index: each line may be dropped,
+    duplicated or moved."""
+    lines = blob.splitlines()
+    picks = data.draw(st.lists(st.integers(0, len(lines) - 1),
+                               max_size=2 * len(lines)), label="lines")
+    return b"".join(lines[i] + b"\n" for i in picks)
 
 
 def edit_json_header(blob: bytes, edit) -> bytes:

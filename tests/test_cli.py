@@ -2,13 +2,16 @@
 
 import csv
 import errno
+import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
 import time
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,15 +19,15 @@ import numpy as np
 import pytest
 
 import wmhseg.training as training
-from wmhseg.cli import (EXIT_DATA, EXIT_MEMORY, EXIT_NUMERIC, EXIT_OK,
-                        EXIT_USAGE, main)
+from wmhseg.cli import (EXIT_DATA, EXIT_INTERRUPTED, EXIT_MEMORY,
+                        EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main)
 from wmhseg.metrics import dice_score
 from wmhseg.model import load_checkpoint, model_forward, save_checkpoint
 from wmhseg.nifti import make_slice_batch, read_nifti, write_nifti
 from wmhseg.phantom import ManifestEntry, write_manifest
 from wmhseg.tensor import Tensor, no_grad
 
-from conftest import edit_json_header
+from conftest import child_env, edit_json_header
 from test_training import plain_loop_mask
 
 MISSING = object()  # a header key that is absent
@@ -628,6 +631,24 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "m.csv")])
         assert_one_line_data_error(code, capsys, str(manifest), *needles)
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("row,needles", [
+        (b"p" * ((128 << 10) + 1) + b".nii,clean,1,s0", ("field limit",)),
+        (b"phantom000.nii\0,clean,1,s0", ("NUL",)),
+    ], ids=["field-over-limit", "nul-in-path"])
+    def test_malformed_manifest_row_names_the_line(self, checkpoint, tmp_path,
+                                                   capsys, command, row,
+                                                   needles):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"path,role,seed,source_id\n" + row + b"\n")
+        args = ["--manifest", str(manifest)]
+        args += ["--checkpoint", str(checkpoint), "--out",
+                 str(tmp_path / "m.csv")] if command == "evaluate" else \
+            ["--out", str(tmp_path / "run"), "--model", "tiny"]
+        code = main([command] + args)
+        assert_one_line_data_error(code, capsys, f"{manifest}, line 2",
+                                   *needles)
+
 
 class TestDamagedNiftiHeader:
     @pytest.mark.parametrize("command", ["segment", "augment"])
@@ -677,13 +698,10 @@ def run_limited(kind: str, limit: int, args: list[str]):
     pytest.importorskip("resource")
     if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc to size the address-space limit")
-    src = str(Path(training.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, kind,
-                           str(limit), *args], env=env, capture_output=True,
-                          text=True, timeout=300)
+                           str(limit), *args],
+                          env=child_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stderr.strip().splitlines()
 
 
@@ -726,6 +744,113 @@ class TestResourceLimits:
                        f"{os.strerror(errno.EFBIG)}: '{out / 'phantom000.nii'}'"]
         # no partial file (nor its temporary) and no manifest
         assert sorted(p.name for p in out.iterdir()) == []
+
+
+# runs ``wmhseg``, then prints its exit code and the loaded module names
+IMPORT_PROBE = """
+import json, sys
+from wmhseg.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+class TestImports:
+    """A command loads the modules it runs and no others: a fresh
+    interpreter pays for every import once per command."""
+
+    NOT_LOADED = {
+        "phantom": {"wmhseg.tensor", "wmhseg.model", "wmhseg.training"},
+        "augment": {"wmhseg.tensor", "wmhseg.model", "wmhseg.training",
+                    "scipy.special", "scipy.ndimage"},
+        "segment": {"scipy.ndimage"},
+        "evaluate": {"scipy.ndimage"},
+    }
+
+    @pytest.mark.parametrize("command", NOT_LOADED)
+    def test_command_loads_only_its_modules(self, cfg_file, dataset,
+                                            checkpoint, tmp_path, command):
+        args = {
+            "phantom": ["-n", "1", "--config", cfg_file,
+                        "--out", str(tmp_path / "ds")],
+            "augment": ["--in", str(dataset / "phantom000.nii"),
+                        "--kind", "ghosting", "--out", str(tmp_path / "g.nii")],
+            "segment": ["--checkpoint", str(checkpoint),
+                        "--in", str(dataset / "phantom000.nii"),
+                        "--out", str(tmp_path / "m.nii")],
+            "evaluate": ["--checkpoint", str(checkpoint),
+                         "--manifest", str(dataset / "manifest.csv"),
+                         "--out", str(tmp_path / "m.csv")],
+        }[command]
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, command,
+                               *args], env=child_env(OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=300)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == EXIT_OK, proc.stderr
+        assert self.NOT_LOADED[command].isdisjoint(modules)
+
+
+# runs ``wmhseg`` with Python's SIGINT handler, which a child started with
+# SIGINT ignored (such as from a background job) would not install itself
+INTERRUPTIBLE = """
+import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from wmhseg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def interrupt_when(ready, args: list[str], timeout: float = 120):
+    """(exit code, stderr lines) of ``wmhseg args`` sent SIGINT once
+    ``ready()`` holds, on one BLAS thread."""
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTIBLE, *args],
+                            env=child_env(OPENBLAS_NUM_THREADS="1"),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        deadline = time.monotonic() + timeout
+        while not ready() and proc.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        err = proc.communicate(timeout=timeout)[1]
+    finally:
+        proc.kill()  # nothing to do if it has exited
+        proc.wait()
+    return proc.returncode, err.strip().splitlines()
+
+
+class TestInterrupt:
+    def test_phantom_leaves_no_partial_file_and_no_manifest(self, tmp_path):
+        out = tmp_path / "ds"
+        code, err = interrupt_when(lambda: (out / "phantom000.nii").exists(),
+                                   ["phantom", "-n", "40", "--out", str(out)])
+        assert code == EXIT_INTERRUPTED, err
+        assert err == ["error: phantom interrupted"]
+        names = [p.name for p in out.iterdir()]
+        assert "manifest.csv" not in names
+        assert not [n for n in names if n.endswith(".tmp")], names
+
+    def test_train_resumes_or_refuses_a_torn_pair(self, dataset, tmp_path,
+                                                  capsys):
+        run = tmp_path / "run"
+        last, state = run / "last.ckpt", run / "last.ckpt.state"
+        args = ["train", "--manifest", str(dataset / "manifest.csv"),
+                "--out", str(run), "--model", "tiny", "--batch-size", "8",
+                "--seed", "2"]
+        # the first epoch's log row and pair are written: the interrupt
+        # lands in a later epoch or its writes
+        code, err = interrupt_when(state.exists, args + ["--epochs", "200"])
+        assert code == EXIT_INTERRUPTED, err
+        assert err == ["error: train interrupted"]
+        params, _ = load_checkpoint(last)
+        paired = training.load_train_state(str(state), params) \
+            .checkpoint_crc == zlib.crc32(last.read_bytes())
+        code = main(args + ["--epochs", "1", "--resume", str(last)])
+        if paired:
+            assert code == EXIT_OK
+        else:  # interrupted between the checkpoint and its state
+            assert_one_line_data_error(code, capsys, str(state), "torn save")
 
 
 class TestUsage:

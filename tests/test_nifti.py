@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from wmhseg.cli import EXIT_DATA, main
 from wmhseg.errors import (DataFormatError, UnsupportedDataTypeError,
                            ValidationError)
+from wmhseg.model import ModelConfig, init_parameters, save_checkpoint
 from wmhseg.nifti import (Volume, crop_pad_volume, make_slice_batch,
                           read_nifti, unpreprocess_mask, write_nifti)
 
@@ -82,6 +84,18 @@ class TestReadNifti:
         path = tmp_path / "trunc.nii"
         path.write_bytes(blob[:len(blob) - 40])
         with pytest.raises(OSError):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_header_claiming_terabytes_is_truncated_not_out_of_memory(
+            self, tmp_path, suffix):
+        blob = bytearray(build_nifti_bytes(np.zeros((4, 4, 4), np.float64),
+                                           datatype=64, bitpix=64))
+        struct.pack_into("<3h", blob, 42, 32767, 32767, 32767)  # 2^48 bytes
+        path = tmp_path / f"huge{suffix}"
+        path.write_bytes(gzip.compress(bytes(blob)) if suffix == ".nii.gz"
+                         else bytes(blob))
+        with pytest.raises(OSError, match="truncated data section"):
             read_nifti(path)
 
     @pytest.mark.parametrize("field,offset,value,data", [
@@ -162,6 +176,78 @@ class TestReadNifti:
             vol = read_nifti(path)
             np.testing.assert_array_equal(
                 vol.data.reshape(-1, order="F"), np.arange(8, dtype=np.float32))
+
+
+def flip_middle_byte(blob: bytes) -> bytes:
+    mid = len(blob) // 2
+    return blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
+
+
+# ways to damage a gzip file; its last 8 bytes are the CRC-32 and the
+# length of the uncompressed data
+GZIP_DAMAGE = {
+    "byte-flipped": flip_middle_byte,
+    "crc-zeroed": lambda b: b[:-8] + bytes(4) + b[-4:],
+    "length-wrong": lambda b: b[:-4] + bytes([b[-4] ^ 1]) + b[-3:],
+    "trailer-missing": lambda b: b[:-8],
+    "cut-in-half": lambda b: b[:len(b) // 2],
+    "not-gzip": gzip.decompress,
+}
+
+
+def small_volume(seed=0) -> Volume:
+    data = np.random.default_rng(seed).random((32, 32, 3)).astype(np.float32)
+    return Volume(data, (1.0, 1.0, 3.0))
+
+
+class TestDamagedGzip:
+    """Every gzip stream is read to its end, so its trailer is checked, and
+    a damaged one is a data error naming the file."""
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_single_file(self, tmp_path, damage):
+        path = tmp_path / "v.nii.gz"
+        write_nifti(small_volume(), path)
+        path.write_bytes(GZIP_DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(DataFormatError, match="v.nii.gz"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    @pytest.mark.parametrize("part", ["hdr", "img"])
+    def test_pair(self, tmp_path, part, damage):
+        blob = build_nifti_bytes(np.arange(24, dtype=np.float32)
+                                 .reshape((2, 3, 4)), magic=b"ni1\x00")
+        for name, body in (("hdr", blob[:348]), ("img", blob[352:])):
+            packed = gzip.compress(body, mtime=0)
+            (tmp_path / f"pair.{name}.gz").write_bytes(
+                GZIP_DAMAGE[damage](packed) if name == part else packed)
+        with pytest.raises(DataFormatError, match=f"pair.{part}.gz"):
+            read_nifti(tmp_path / "pair.hdr.gz")
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    @pytest.mark.parametrize("command", ["segment", "augment"])
+    def test_commands_exit_with_one_line(self, tmp_path, capsys, command,
+                                         damage):
+        path = tmp_path / "v.nii.gz"
+        write_nifti(small_volume(), path)
+        path.write_bytes(GZIP_DAMAGE[damage](path.read_bytes()))
+        args = ["--in", str(path), "--out", str(tmp_path / "o.nii")]
+        if command == "segment":
+            cfg = ModelConfig.tiny()
+            save_checkpoint(tmp_path / "m.ckpt", init_parameters(cfg, 0), cfg)
+            args += ["--checkpoint", str(tmp_path / "m.ckpt")]
+        else:
+            args += ["--kind", "noise"]
+        assert main([command] + args) == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
+        assert not (tmp_path / "o.nii").exists()
+
+    def test_intact_stream_reads_back(self, tmp_path):
+        path = tmp_path / "v.nii.gz"
+        write_nifti(small_volume(), path)
+        np.testing.assert_array_equal(read_nifti(path).data,
+                                      small_volume().data)
 
 
 class TestWriteNifti:

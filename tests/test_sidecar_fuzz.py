@@ -16,6 +16,8 @@ from wmhseg.artifacts import KINDS
 from wmhseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from wmhseg.phantom import PhantomConfig, generate_dataset
 
+from conftest import edit_bytes, edit_lines
+
 # derandomized, and no example database written next to the tests
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -66,32 +68,6 @@ def phantom_damaged(root, blob: bytes) -> None:
 
 def sidecar(root, kind: str) -> bytes:
     return (root / "data" / f"phantom000_{kind}.nii.spec").read_bytes()
-
-
-def edit_bytes(data, blob: bytes) -> bytes:
-    """``blob`` with one to four bytes flipped, inserted or deleted."""
-    edits = data.draw(st.lists(st.tuples(
-        st.sampled_from(("flip", "insert", "delete")),
-        st.integers(0, len(blob)), st.integers(1, 255)),
-        min_size=1, max_size=4), label="edits")
-    out = bytearray(blob)
-    for op, at, byte in edits:
-        if op == "insert":
-            out.insert(at % (len(out) + 1), byte)
-        elif op == "flip":
-            out[at % len(out)] ^= byte
-        elif len(out) > 1:
-            del out[at % len(out)]
-    return bytes(out)
-
-
-def edit_lines(data, blob: bytes) -> bytes:
-    """``blob``'s lines picked by index: each line may be dropped,
-    duplicated or moved."""
-    lines = blob.splitlines()
-    picks = data.draw(st.lists(st.integers(0, len(lines) - 1),
-                               max_size=2 * len(lines)), label="lines")
-    return b"".join(lines[i] + b"\n" for i in picks)
 
 
 @pytest.mark.parametrize("kind", KINDS)

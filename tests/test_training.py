@@ -1,14 +1,12 @@
 """Trainer: splits, Adam oracle, scheduler contract, loops, reproducibility."""
 
 import csv
-import os
 import subprocess
 import sys
 import threading
 import warnings
 import weakref
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +25,8 @@ from wmhseg.tensor import Tensor
 from wmhseg.training import (TrainConfig, TrainState, adam_step, evaluate,
                              load_train_state, plateau_scheduler,
                              save_train_state, split_dataset, train)
+
+from conftest import child_env
 
 PHANTOM = PhantomConfig(size=(48, 48, 4), seed=0, num_lesions_range=(2, 4),
                         lesion_radius_mm=(2.0, 3.5))
@@ -559,10 +559,7 @@ else:
 class TestThreadKnob:
     @staticmethod
     def probe(threads: str) -> list[str]:
-        src = str(Path(training.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = child_env(OPENBLAS_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120).stdout

@@ -1,7 +1,7 @@
 """OpenBLAS thread control and the one worker pool of the package.
 
 ``run_parallel`` runs independent tasks concurrently, each on one core:
-inference slices, training and validation batch shards, and the clean,
+the inference, training and validation shards of 2 slices, and the clean,
 mask and corrupted-companion writes of dataset generation. Inside the pool
 ``single_threaded()`` pins every OpenBLAS library loaded in the process to
 one thread and yields the thread count that was in effect before, which is
@@ -83,6 +83,9 @@ def single_threaded():
 
 def run_parallel(task, n: int, after_wave=None) -> None:
     """Run ``task(0)`` ... ``task(n - 1)`` concurrently, each on one core.
+
+    A task should carry enough work to pay for its numpy call overheads,
+    which hold the GIL: inference and training hand it a shard of 2 slices.
 
     OpenBLAS is pinned to one thread for the pool, and the calling thread
     plus (budget - 1) workers take indices from one shared counter, in

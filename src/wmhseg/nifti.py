@@ -268,13 +268,15 @@ def unpreprocess_mask(mask: np.ndarray, original_dims: tuple[int, int]) -> np.nd
     return out
 
 
-def make_slice_batch(vol: Volume, target: int = 256,
-                     scope: str = "slice") -> np.ndarray:
-    """Preprocess a whole volume into a [B,1,target,target] float32 array in [0,1].
+def make_slice_batch(vol: Volume, target: int = 256, scope: str = "slice",
+                     z: slice = slice(None)) -> np.ndarray:
+    """Preprocess the axial slices ``z`` of a volume (all by default) into a
+    [B,1,target,target] float32 array in [0,1].
 
     ``scope`` selects the foreground statistics: 'slice' (default, each
-    slice's own) or 'volume' (one min/max shared by every slice). They are
-    taken over the source voxels, before the crop.
+    slice's own) or 'volume' (one min/max shared by every slice of the
+    volume, whichever slices ``z`` selects). They are taken over the source
+    voxels, before the crop.
     """
     if scope not in ("slice", "volume"):
         raise ValidationError(f"normalization scope must be slice|volume, got {scope}")
@@ -283,9 +285,9 @@ def make_slice_batch(vol: Volume, target: int = 256,
         fg = a[a != 0]
         return (float(fg.min()), float(fg.max())) if fg.size else (0.0, 0.0)
 
-    batch = crop_pad_volume(vol.data, target)
+    batch = crop_pad_volume(vol.data[:, :, z], target)
     shared = foreground_range(vol.data) if scope == "volume" else None
-    for k, out in enumerate(batch):
+    for k, out in zip(range(vol.shape[2])[z], batch):
         mn, mx = shared if shared is not None else foreground_range(vol.data[:, :, k])
         if mx <= mn:
             out[...] = 0.0

@@ -22,6 +22,7 @@ import csv
 import io
 import math
 import os
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -239,13 +240,14 @@ def read_manifest(path) -> list[ManifestEntry]:
         if "\0" in row["path"]:
             raise DataFormatError(f"{where}: path contains a NUL byte")
         if row["role"] not in _MANIFEST_ROLES:
-            raise DataFormatError(f"{where}: unknown role {row['role']!r}, expected "
+            raise DataFormatError(f"{where}: unknown role "
+                                  f"{reprlib.repr(row['role'])}, expected "
                                   f"one of {', '.join(_MANIFEST_ROLES)}")
         try:
             seed = int(row["seed"])
         except ValueError:
-            raise DataFormatError(f"{where}: seed {row['seed']!r} is not an "
-                                  "integer") from None
+            raise DataFormatError(f"{where}: seed {reprlib.repr(row['seed'])} "
+                                  "is not an integer") from None
         entries.append(ManifestEntry(row["path"], row["role"], seed,
                                      row["source_id"]))
     return entries

@@ -383,7 +383,9 @@ _ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
           -1.60960333262415e-02)
 _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
           -7.37332916720468e-03, -1.42647390514189e-02)
-_ERF_BLOCK = 1 << 15  # elements per pass: the temporaries stay in L1/L2
+# elements per pass, sized so that each of Phi's ~30 numpy calls per block
+# does enough work for two pool threads not to serialize on the GIL
+_ERF_BLOCK = 1 << 17
 
 
 def _normal_cdf32(a: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ the scheduler counters, the shuffling RNG state and the CRC-32 of its
 checkpoint. Both files are replaced atomically; resuming refuses a pair
 torn by a crash between the two writes.
 
-Threads share the parameter arrays read-only. Training shards, validation
-shards and inference slices run on the package's one pool
+Threads share the parameter arrays read-only. Training, validation and
+inference shards run on the package's one pool
 (``blas.run_parallel``, which dataset generation uses too), under the
 ``OPENBLAS_NUM_THREADS`` budget; a training shard accumulates gradients
 only into leaf tensors of its own; between waves of shards the calling
@@ -243,7 +243,7 @@ class TrainResult:
     test_sources: list[str]
 
 
-SHARD = 2  # samples per training shard; the last shard of a batch may hold 1
+SHARD = 2  # samples per training or inference shard; the last may hold 1
 
 
 def _epoch_pass(params, model_cfg, images, masks, rows, order, batch_size,
@@ -397,23 +397,27 @@ def infer_volume(params, model_cfg: ModelConfig, vol) -> np.ndarray:
     """Segment one volume; returns a binary mask (probability >= 0.5) at the
     volume's dims. The input is normalized with ``model_cfg``'s scope.
 
-    Slices go through the model one at a time, on the pool of
-    ``blas.run_parallel``: the largest activation of a single 256x256 slice
-    fits in a core's L2 cache, a batch of them does not. Each slice's result
-    is independent of the budget.
+    The slices go through the model in shards of ``SHARD`` contiguous
+    slices, one shard per task on the pool of ``blas.run_parallel``, so each
+    op's fixed call cost is paid once per shard. Every op computes each
+    sample on its own, so a slice's probabilities are bit-identical in any
+    shard and at any budget. Each task preprocesses its own slices and
+    writes their masks into one uint8 volume, made float32 at the end.
     """
-    batch = make_slice_batch(vol, model_cfg.input_size[0],
-                             model_cfg.normalization_scope)
-    out = np.zeros(vol.shape, dtype=np.float32)
+    out = np.zeros(vol.shape, dtype=np.uint8)
+    starts = range(0, vol.shape[2], SHARD)
 
     def segment(k):
-        p = model_forward(Tensor(batch[k:k + 1]), params, model_cfg)
-        binary = (p.data[0, 0] >= 0.5).astype(np.float32)
-        out[:, :, k] = unpreprocess_mask(binary, vol.shape[:2])
+        lo = starts[k]
+        x = make_slice_batch(vol, model_cfg.input_size[0],
+                             model_cfg.normalization_scope, slice(lo, lo + SHARD))
+        p = model_forward(Tensor(x), params, model_cfg)
+        for z, prob in enumerate(p.data[:, 0], lo):
+            out[:, :, z] = unpreprocess_mask(prob >= 0.5, vol.shape[:2])
 
     with T.no_grad():
-        blas.run_parallel(segment, vol.shape[2])
-    return out
+        blas.run_parallel(segment, len(starts))
+    return out.astype(np.float32)
 
 
 def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,

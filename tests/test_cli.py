@@ -649,6 +649,21 @@ class TestEvaluateCommand:
         assert_one_line_data_error(code, capsys, f"{manifest}, line 2",
                                    *needles)
 
+    @pytest.mark.parametrize("row", [
+        b"phantom000.nii," + b"r" * (128 << 10) + b",1,s0",
+        b"phantom000.nii,clean," + b"7" * ((128 << 10) - 1) + b"x,s0",
+    ], ids=["role", "seed"])
+    def test_field_at_limit_quoted_short(self, tmp_path, capsys, row):
+        # the longest field csv accepts reaches the role and seed checks
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"path,role,seed,source_id\n" + row + b"\n")
+        code = main(["train", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run"), "--model", "tiny"])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 300, lines[0][:300]
+        assert f"{manifest}, line 2" in lines[0] and "..." in lines[0]
+
 
 class TestDamagedNiftiHeader:
     @pytest.mark.parametrize("command", ["segment", "augment"])
@@ -671,6 +686,40 @@ class TestDamagedNiftiHeader:
             code = main([command] + args)
         assert_one_line_data_error(code, capsys, str(src))
         assert not (tmp_path / "o.nii").exists()
+
+
+class TestBudgetDeterminism:
+    """The console's pool at one and two BLAS threads writes the same bytes."""
+
+    @staticmethod
+    def run_at(threads: str, args: list[str]) -> None:
+        proc = subprocess.run([sys.executable, "-m", "wmhseg.cli", *args],
+                              env=child_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_segment_and_evaluate_byte_identical(self, cfg_file, checkpoint,
+                                                 tmp_path):
+        # 5 slices: the last shard holds one
+        assert main(["phantom", "-n", "1", "--seed", "4", "--config", cfg_file,
+                     "--size", "48,48,5", "--out", str(tmp_path / "ds")]) \
+            == EXIT_OK
+        src = tmp_path / "ds" / "phantom000.nii"
+        params, cfg = load_checkpoint(checkpoint)
+        straddle(params, cfg, read_nifti(src))
+        ckpt = tmp_path / "straddled.ckpt"
+        save_checkpoint(ckpt, params, cfg)
+        outs = {}
+        for threads in ("1", "2"):
+            mask, metrics = tmp_path / f"m{threads}.nii", tmp_path / f"m{threads}.csv"
+            self.run_at(threads, ["segment", "--checkpoint", str(ckpt),
+                                  "--in", str(src), "--out", str(mask)])
+            self.run_at(threads, ["evaluate", "--checkpoint", str(ckpt),
+                                  "--manifest", str(tmp_path / "ds" / "manifest.csv"),
+                                  "--per-slice", "--out", str(metrics)])
+            outs[threads] = mask.read_bytes(), metrics.read_bytes()
+        assert 0 < read_nifti(tmp_path / "m1.nii").data.mean() < 1
+        assert outs["1"] == outs["2"]
 
 
 # runs ``wmhseg`` with one resource limit set in this child process only:

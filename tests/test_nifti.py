@@ -511,6 +511,16 @@ class TestSliceBatch:
         assert per_slice[1, 0].max() == 1.0
         assert not np.array_equal(batch[1], per_slice[1])
 
+    @pytest.mark.parametrize("scope", ["slice", "volume"])
+    def test_slice_range_equals_whole_batch_rows(self, rng, scope):
+        data = rng.uniform(1, 9, (20, 20, 5)).astype(np.float32)
+        data[:, :, 3] *= 0.5
+        vol = Volume(data, (1, 1, 1))
+        whole = make_slice_batch(vol, 32, scope)
+        for z in (slice(0, 2), slice(2, 4), slice(4, 6), slice(3, 4)):
+            assert make_slice_batch(vol, 32, scope, z).tobytes() \
+                == whole[z].tobytes()
+
     def test_unknown_scope_rejected(self, rng):
         vol = Volume(rng.uniform(1, 9, (8, 8, 2)).astype(np.float32), (1, 1, 1))
         with pytest.raises(ValidationError):

@@ -510,6 +510,21 @@ class TestGelu:
         np.testing.assert_array_equal(strided, T.gelu(Tensor(x)).data
                                       .transpose(0, 1, 3, 2))
 
+    def test_float32_independent_of_block_size(self, monkeypatch, rng):
+        # 300,000 elements: the last block is ragged at every size below
+        xs = (4.0 * rng.standard_normal((3, 100, 1000))).astype(np.float32)
+        g = rng.standard_normal(xs.shape).astype(np.float32)
+        runs = []
+        for block in (1 << 10, 1 << 15, 1 << 17):
+            monkeypatch.setattr(T, "_ERF_BLOCK", block)
+            x = Tensor(xs, requires_grad=True)
+            out = T.gelu(x)
+            out.backward(g)
+            runs.append((T._normal_cdf32(xs), out.data, x.grad))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                np.testing.assert_array_equal(got, want)
+
     def test_float32_backward_flushes_subnormals(self):
         xs = np.linspace(-20.0, -12.0, 161)
         x = Tensor(xs.astype(np.float32), requires_grad=True)

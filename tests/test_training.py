@@ -529,14 +529,18 @@ def blas_at_two():
         set_(n)
 
 
-def plain_loop_mask(params, cfg, vol):
+def plain_loop_probs(params, cfg, vol):
     """The plain loop: one model_forward per slice on the calling thread, on
-    input normalized with the config's scope."""
+    input normalized with the config's scope; the [B,1,H,W] probabilities."""
     x = make_slice_batch(vol, cfg.input_size[0], cfg.normalization_scope)
     with T.no_grad():
-        probs = [model_forward(Tensor(x[k:k + 1]), params, cfg).data[0, 0]
-                 for k in range(len(x))]
-    return np.stack([unpreprocess_mask((p >= 0.5).astype(np.float32),
+        return np.concatenate([model_forward(Tensor(x[k:k + 1]), params, cfg).data
+                               for k in range(len(x))])
+
+
+def plain_loop_mask(params, cfg, vol):
+    probs = plain_loop_probs(params, cfg, vol)
+    return np.stack([unpreprocess_mask((p[0] >= 0.5).astype(np.float32),
                                        vol.shape[:2]) for p in probs], axis=-1)
 
 
@@ -615,8 +619,24 @@ class TestSliceParallelInference:
             runs.append((mask, {x: p for x, p, _, _ in log}))
         (mask1, probs1), (mask2, probs2) = runs
         assert np.array_equal(mask1, mask2)
-        assert probs1.keys() == probs2.keys() and len(probs1) == 6
+        assert probs1.keys() == probs2.keys() and len(probs1) == 3
         assert all(np.array_equal(probs1[x], probs2[x]) for x in probs1)
+
+    @pytest.mark.parametrize("slices", [1, 4, 5])  # 5: the last shard holds 1
+    def test_shard_probabilities_equal_per_slice(self, monkeypatch, slices):
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 3)
+        vol = self.volume(28, slices)
+        log = _record_forwards(monkeypatch)
+        training.infer_volume(params, cfg, vol)
+        assert len(log) == -(-slices // training.SHARD)
+        by_input = {x: p for x, p, _, _ in log}
+        x = make_slice_batch(vol, cfg.input_size[0])
+        got = np.concatenate([by_input[x[lo:lo + training.SHARD].tobytes()]
+                              for lo in range(0, slices, training.SHARD)])
+        want = plain_loop_probs(params, cfg, vol)
+        assert 0 < (want >= 0.5).mean() < 1  # both classes present
+        np.testing.assert_array_equal(got, want)
 
     def test_without_openblas_runs_on_calling_thread(self, monkeypatch):
         monkeypatch.setattr(blas, "_controls", lambda: [])
@@ -652,7 +672,8 @@ class TestSliceParallelInference:
 
     def test_flop_count_exact_under_workers(self, force_budget):
         # more workers than cores and frequent thread switches: a lost
-        # update to the shared count would show as a shortfall
+        # update to the shared count would show as a shortfall, and a
+        # misplaced write into the shared mask as a differing slice
         force_budget(4)
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 3)
@@ -663,11 +684,12 @@ class TestSliceParallelInference:
         sys.setswitchinterval(1e-6)
         try:
             with T.FlopCounter() as total:
-                training.infer_volume(params, cfg, vol)
+                mask = training.infer_volume(params, cfg, vol)
         finally:
             sys.setswitchinterval(interval)
         assert one.flops > 0
         assert total.flops == 8 * one.flops
+        np.testing.assert_array_equal(mask, plain_loop_mask(params, cfg, vol))
 
 
 def _capture_grads(monkeypatch):

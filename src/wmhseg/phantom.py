@@ -2,9 +2,12 @@
 
 A phantom is an ellipsoidal "brain" with two ellipsoidal "ventricles" and a
 seeded number of spherical bright lesions, smoothed with a small Gaussian
-kernel (the mask is painted before smoothing and never blurred). Phantoms
-are deliberately simple: their job is to make the training pipeline converge
-and its invariants testable, not to look anatomical.
+kernel (the mask is painted before smoothing and never blurred). The
+tissue is painted and smoothed only on the brain's box, padded by the
+kernel's radius: outside it the volume is exactly 0, so the bits are those
+of smoothing the whole volume. Phantoms are deliberately simple: their job
+is to make the training pipeline converge and its invariants testable, not
+to look anatomical.
 
 ``generate_dataset`` mirrors the dataset assembly the trainer consumes:
 every clean volume is written with its mask and its four corrupted
@@ -36,9 +39,9 @@ from .nifti import Volume, write_nifti
 from .seeding import derive_seed
 
 
-# the tissue intensities before smoothing, and the half-width of the uniform
-# jitter drawn per phantom (a third of it for ventricles and per lesion)
-BACKGROUND_INTENSITY = 0.0
+# the tissue intensities before smoothing (the background is 0), and the
+# half-width of the uniform jitter drawn per phantom (a third of it for
+# ventricles and per lesion)
 BRAIN_INTENSITY = 0.45
 VENTRICLE_INTENSITY = 0.10
 LESION_INTENSITY = 0.90
@@ -129,23 +132,17 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
             f"max lesion radius {config.lesion_radius_mm[1]} mm does not fit "
             f"inside the brain (min semi-axis {min_semi:.1f} mm)")
 
-    image = np.full(shape, BACKGROUND_INTENSITY, dtype=np.float64)
-    box, inside = _ellipsoid_mask(shape, spacing, center, brain_semi)
-    brain = np.zeros(shape, dtype=bool)
-    brain[box] = inside
-    image[brain] = brain_val
-
-    for side in (-1.0, 1.0):
-        vcen = center + np.array([side * 0.16 * extent_mm[0], 0.0, 0.0])
-        vsemi = extent_mm * np.array([0.07, 0.16, 0.22])
-        box, vent = _ellipsoid_mask(shape, spacing, vcen, vsemi)
-        image[box][vent & brain[box]] = vent_val
+    brain_box, inside = _ellipsoid_mask(shape, spacing, center, brain_semi)
+    vents = [_ellipsoid_mask(shape, spacing,
+                             center + np.array([side * 0.16 * extent_mm[0], 0.0, 0.0]),
+                             extent_mm * np.array([0.07, 0.16, 0.22]))
+             for side in (-1.0, 1.0)]
 
     mask = np.zeros(shape, dtype=np.float32)
+    lesions = []
     n_lesions = int(rng.integers(config.num_lesions_range[0],
                                  config.num_lesions_range[1] + 1))
-    placed = 0
-    while placed < n_lesions:
+    while len(lesions) < n_lesions:
         radius = rng.uniform(*config.lesion_radius_mm)
         offset = rng.uniform(-1.0, 1.0, size=3) * brain_semi
         # strict interior: margin of one radius inside the brain ellipsoid
@@ -155,14 +152,41 @@ def generate_phantom(config: PhantomConfig) -> tuple[Volume, Volume]:
                                       (radius, radius, radius))
         if not lesion.any():
             continue
-        image[box][lesion] = lesion_val + rng.uniform(-jit / 3, jit / 3)
+        lesions.append((box, lesion, lesion_val + rng.uniform(-jit / 3, jit / 3)))
         mask[box][lesion] = 1.0
-        placed += 1
 
-    sigma_vox = [SMOOTHING_SIGMA_MM / sp for sp in spacing]
-    image = gaussian_filter(image, sigma=sigma_vox)
-    np.clip(image, 0.0, None, out=image)
-    img_vol = Volume(image.astype(np.float32), spacing)
+    # The Gaussian reaches int(4 sigma + 0.5) voxels per axis, and every
+    # painted voxel lies in the hull of the painted boxes (the brain's box:
+    # ventricles and lesions keep inside it). So the tissue is painted and
+    # smoothed only on that hull padded by the reach and clipped to the
+    # volume: beyond it the result is exactly 0, and where the pad meets a
+    # volume edge the 'reflect' boundary sees the same values, so the bits
+    # are those of smoothing the whole volume.
+    sigma = [SMOOTHING_SIGMA_MM / sp for sp in spacing]
+    reach = [int(4.0 * s + 0.5) for s in sigma]
+    boxes = [brain_box] + [b for b, _ in vents] + [b for b, _, _ in lesions]
+    pad = tuple(slice(max(min(b[i].start for b in boxes) - r, 0),
+                      min(max(b[i].stop for b in boxes) + r, n))
+                for i, (r, n) in enumerate(zip(reach, shape)))
+
+    def local(box):
+        return tuple(slice(s.start - p.start, s.stop - p.start)
+                     for s, p in zip(box, pad))
+
+    image = np.zeros([p.stop - p.start for p in pad])
+    brain = np.zeros(image.shape, dtype=bool)
+    brain[local(brain_box)] = inside
+    image[brain] = brain_val
+    for box, vent in vents:
+        image[local(box)][vent & brain[local(box)]] = vent_val
+    for box, lesion, value in lesions:
+        image[local(box)][lesion] = value
+    # in place, as scipy runs every axis pass after the first (each line is
+    # buffered before it is written), so no second float64 box is alive;
+    # non-negative values and weights need no clip at 0
+    smooth = np.zeros(shape, dtype=np.float32)
+    smooth[pad] = gaussian_filter(image, sigma=sigma, radius=reach, output=image)
+    img_vol = Volume(smooth, spacing)
     mask_vol = Volume(mask, spacing)
     return img_vol, mask_vol
 

@@ -573,9 +573,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     convs run ``_depthwise`` on it and take the weight gradient from one
     einsum per tap; dense ones take both gradients from one im2col of the
     padded output gradient; the rest recompute the input columns and
-    scatter the input gradient back with col2im. The backward closure keeps
-    the padded input of non-depthwise convs; no im2col buffer outlives the
-    forward pass.
+    scatter the input gradient back with col2im. Only the backward closure
+    of the im2col convs keeps the padded input; no im2col buffer outlives
+    the forward pass.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -625,6 +625,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     np.matmul(taps[i, j], xf[:, :, off:off + n], out=part)
                     wide += part
         data = np.ascontiguousarray(wide.reshape(b, cout, hout, wp)[..., :wout])
+        # the backward reads x, not its padded copy: the closure drops it
+        xp = None
     else:
         cols = _im2col(xp, kh, kw, sh, sw, hout, wout) \
             .reshape(b, groups, cg * kh * kw, hout * wout)

@@ -721,6 +721,27 @@ class TestBudgetDeterminism:
         assert 0 < read_nifti(tmp_path / "m1.nii").data.mean() < 1
         assert outs["1"] == outs["2"]
 
+    def test_phantom_byte_identical(self, tmp_path):
+        # at this size and seed each phantom's smoothed box stays off every
+        # volume edge (test_phantom's "interior" case)
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"ds{threads}"
+            self.run_at(threads, ["phantom", "-n", "2", "--seed", "10",
+                                  "--size", "96,96,64", "--out", str(out)])
+            outs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+        names = sorted(outs["1"])
+        assert len([n for n in names if n.endswith(".nii")]) == 12
+        assert len([n for n in names if n.endswith(".spec")]) == 8
+        assert "manifest.csv" in names
+        assert outs["1"] == outs["2"]
+        for i in range(2):
+            data = read_nifti(tmp_path / "ds1" / f"phantom{i:03d}.nii").data
+            assert data.any()
+            assert not any(face.any() for face in (
+                data[0], data[-1], data[:, 0], data[:, -1],
+                data[:, :, 0], data[:, :, -1]))
+
 
 # runs ``wmhseg`` with one resource limit set in this child process only:
 # RLIMIT_AS is the address space already mapped plus argv[2] bytes, and

@@ -316,6 +316,36 @@ class TestWriteNifti:
         assert blob[:352] == build_nifti_bytes(data, pixdim=(0.9, 1.1, 2.5))[:352]
         assert blob[352:] == data.tobytes(order="F")
 
+    # voxels are gathered in blocks of 8 z-slices, 32 x-columns at a time:
+    # x extents off the tile, z extents off the block, and a single slice
+    @pytest.mark.parametrize("shape", [(70, 9, 19), (32, 5, 1), (97, 3, 16),
+                                       (5, 4, 3)], ids=str)
+    @pytest.mark.parametrize("layout", ["C", "F", "float64", "float64-F",
+                                        "strided", "reversed"])
+    def test_tiled_gather_equals_per_slice_writes(self, tmp_path, rng, shape,
+                                                  layout):
+        base = rng.standard_normal(shape)
+        data = {"C": base.astype(np.float32),
+                "F": np.asfortranarray(base, dtype=np.float32),
+                "float64": base,
+                "float64-F": np.asfortranarray(base),
+                "strided": np.repeat(base, 2, axis=2)[:, :, ::2].astype(np.float32),
+                "reversed": base[::-1, :, ::-1].astype(np.float32)}[layout]
+        header = build_nifti_bytes(data, pixdim=(1.0, 1.0, 2.0))[:352]
+        # the reference: one float32 copy of each z-slice, x fastest
+        ref = header + b"".join(
+            np.ascontiguousarray(data[:, :, k].T, dtype=np.float32).tobytes()
+            for k in range(shape[2]))
+        plain, packed = tmp_path / "v.nii", tmp_path / "v.nii.gz"
+        write_nifti(Volume(data, (1, 1, 2)), plain)
+        write_nifti(Volume(data, (1, 1, 2)), packed)
+        assert plain.read_bytes() == ref
+        ref_gz = tmp_path / "ref.gz"
+        with open(ref_gz, "wb") as fh, \
+                gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
+            gz.write(ref)
+        assert packed.read_bytes() == ref_gz.read_bytes()
+
     def test_xform_block_preserved(self, tmp_path, rng):
         data = rng.standard_normal((3, 3, 3)).astype(np.float32).clip(0, None)
         raw = bytearray(build_nifti_bytes(data))

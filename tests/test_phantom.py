@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from dataclasses import replace
 
 from wmhseg import phantom
@@ -121,6 +122,31 @@ def full_volume_mask(shape, spacing, center_mm, semi_mm):
     return rho <= 1.0
 
 
+# (config, seeds, the axes on which the padded box is narrower than the volume)
+BOXED_CASES = {
+    "small": (SMALL, range(6), ()),
+    # few thick slices: lesion boxes are clipped at both z borders
+    "thick-slices": (PhantomConfig(size=(40, 36, 3), spacing=(0.9, 1.1, 2.5),
+                                   num_lesions_range=(3, 10),
+                                   lesion_radius_mm=(0.8, 2.5)), range(6), ()),
+    # radii near one voxel
+    "one-voxel-radii": (PhantomConfig(size=(33, 47, 9), spacing=(0.7, 1.3, 2.0),
+                                      num_lesions_range=(4, 12),
+                                      lesion_radius_mm=(0.6, 1.4)), range(6), ()),
+    # the benchmark's matrices and the training harness: the padded box
+    # reaches the z edges and stays off the x and y edges
+    "256x256x24": (PhantomConfig(size=(256, 256, 24)), range(2), (0, 1)),
+    "240x240x24": (PhantomConfig(size=(240, 240, 24)), range(2), (0, 1)),
+    "288x288x24": (PhantomConfig(size=(288, 288, 24)), range(2), (0, 1)),
+    "harness-256x256x4": (PhantomConfig(size=(256, 256, 4), spacing=(1.0, 1.0, 6.0)),
+                          range(2), (0, 1)),
+    # the phantoms of ``wmhseg phantom -n 2 --seed 10 --size 96,96,64``:
+    # the padded box stays off every edge
+    "interior": (PhantomConfig(size=(96, 96, 64)),
+                 [derive_seed(10, i, 0) for i in range(2)], (0, 1, 2)),
+}
+
+
 class TestBoxedPainting:
     def test_box_mask_matches_full_volume(self, rng):
         # centres inside, near and beyond the border; radii from under one
@@ -138,24 +164,36 @@ class TestBoxedPainting:
             np.testing.assert_array_equal(
                 painted, full_volume_mask(shape, spacing, center, semi))
 
-    @pytest.mark.parametrize("cfg", [
-        SMALL,
-        # few thick slices: lesion boxes are clipped at both z borders
-        PhantomConfig(size=(40, 36, 3), spacing=(0.9, 1.1, 2.5),
-                      num_lesions_range=(3, 10), lesion_radius_mm=(0.8, 2.5)),
-        # radii near one voxel
-        PhantomConfig(size=(33, 47, 9), spacing=(0.7, 1.3, 2.0),
-                      num_lesions_range=(4, 12), lesion_radius_mm=(0.6, 1.4)),
-    ], ids=["small", "thick-slices", "one-voxel-radii"])
-    def test_generate_phantom_bit_identical_to_full_volume(self, monkeypatch, cfg):
+    # at the default sigma (0.8 mm), and at 0 and 1.5 mm (radii 0 and 6 at
+    # 1 mm spacing)
+    @pytest.mark.parametrize("cfg,seeds,interior,sigma_mm", [
+        pytest.param(*case, sigma, id=name if sigma == 0.8 else f"{name}-sigma{sigma:g}")
+        for sigma in (0.8, 0.0, 1.5) for name, case in BOXED_CASES.items()])
+    def test_generate_phantom_bit_identical_to_full_volume(
+            self, monkeypatch, cfg, seeds, interior, sigma_mm):
+        # with _ellipsoid_mask boxing the whole volume, every painted box is
+        # the volume, so the reference paints and smooths the whole volume
         def full_box(shape, spacing, center_mm, semi_mm):
             return (tuple(slice(0, n) for n in shape),
                     full_volume_mask(shape, spacing, center_mm, semi_mm))
-        for seed in range(6):
+        smoothed, gaussian_filter = [], scipy.ndimage.gaussian_filter
+
+        def recording_filter(image, **kwargs):
+            smoothed.append(image.shape)
+            return gaussian_filter(image, **kwargs)
+
+        monkeypatch.setattr(scipy.ndimage, "gaussian_filter", recording_filter)
+        monkeypatch.setattr(phantom, "SMOOTHING_SIGMA_MM", sigma_mm)
+        for seed in seeds:
             img, mask = generate_phantom(replace(cfg, seed=seed))
             with monkeypatch.context() as m:
                 m.setattr(phantom, "_ellipsoid_mask", full_box)
                 ref_img, ref_mask = generate_phantom(replace(cfg, seed=seed))
+            boxed, whole = smoothed[-2:]
+            assert whole == cfg.size
+            if sigma_mm == 0.8 and interior:
+                assert [boxed[i] < n for i, n in enumerate(cfg.size)] == \
+                    [i in interior for i in range(3)], boxed
             assert img.data.tobytes() == ref_img.data.tobytes()
             assert mask.data.tobytes() == ref_mask.data.tobytes()
 

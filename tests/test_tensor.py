@@ -1,6 +1,8 @@
 """Numeric core: forward oracles and finite-difference gradient checks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -291,6 +293,31 @@ class TestConv2d:
                 dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += \
                     probe * wt[None, :, 0, i, j, None, None]
         assert rel_err(xt.grad, dxp[:, :, ph:ph + h, pw:pw + w]) < 1e-10
+
+    def test_only_im2col_backward_keeps_the_padded_input(self, rng, monkeypatch):
+        # a stride-1 dense conv (a decoder fuse conv) takes both gradients
+        # from x and the output gradient, so its padded copy dies with the
+        # forward; a strided one (a patch embedding) recomputes its columns
+        # from the padded copy in the backward
+        copies, pad = [], np.pad
+
+        def recording_pad(*args, **kwargs):
+            out = pad(*args, **kwargs)
+            copies.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(np, "pad", recording_pad)
+        x = Tensor(rng.standard_normal((2, 4, 16, 16)), requires_grad=True)
+        fuse = T.conv2d(x, Tensor(rng.standard_normal((3, 4, 3, 3)),
+                                  requires_grad=True), padding=1)
+        embed = T.conv2d(x, Tensor(rng.standard_normal((5, 4, 7, 7)),
+                                   requires_grad=True), stride=4, padding=3)
+        fuse_copy, embed_copy = copies
+        gc.collect()
+        assert fuse_copy() is None
+        assert embed_copy() is not None
+        (fuse.sum() + embed.sum()).backward()
+        assert x.grad is not None and np.isfinite(x.grad).all()
 
     def test_depthwise_weight_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 5, 6)), dtype=np.float64)

@@ -6,6 +6,21 @@ resize, concatenation, reshaping and reductions. Each differentiable op
 attaches a backward closure; ``Tensor.backward`` replays them in reverse
 topological order.
 
+The graph holds no data. Its vertices are ``_Node``s (gradient, parent
+nodes, backward closure, dtype), one per tensor, and a tensor's array is
+reachable only from the tensor itself and from the closures that read it.
+Each closure keeps exactly the arrays its gradient formula reads: ``mul``
+and ``div`` the operands read by the gradients they take, ``matmul`` each
+operand only for the other's gradient, ``conv2d`` the input (its padded
+copy on the im2col path) only for the weight gradient and the weight only
+for the input gradient, ``gelu`` its input and Phi, ``clip`` and ``log``
+their input, ``exp``, ``sigmoid`` and ``softmax`` their output,
+``layer_norm`` the normalized input, the inverse deviation and gamma; the
+shape ops, ``add``, ``sub``, ``neg``, the reductions, ``resize_bilinear``
+and ``concat`` keep none. So an op output that no backward reads dies in
+the forward pass once its consumers have run, and ``Tensor.backward``
+frees the arrays a closure kept as soon as that closure has run.
+
 Conventions:
   * default dtype is float32; pass ``dtype=np.float64`` for gradient checking
   * convolution is cross-correlation (no kernel flip)
@@ -86,10 +101,46 @@ def _check_finite(data: np.ndarray, op: str) -> None:
             raise NumericsError(f"non-finite values produced by '{op}'")
 
 
-class Tensor:
-    """N-dimensional array with optional gradient tracking."""
+class _Node:
+    """One vertex of the autograd graph; it holds no array but the gradient.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    ``backward`` reads this node's ``grad`` and adds into the parents'
+    nodes; it is None for leaves and once the node has been consumed.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "dtype")
+
+    def __init__(self, dtype):
+        self.grad: Optional[np.ndarray] = None
+        self.parents: tuple[_Node, ...] = ()
+        self.backward: Optional[Callable[[], None]] = None
+        self.dtype = dtype
+
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        # ``owned`` marks arrays this node may keep (and later add into)
+        # without copying: fresh temporaries or views of already-consumed
+        # gradients. Pass-through gradients must be copied to avoid aliasing
+        # two live accumulators. A leaf keeps its gradient C-ordered, for
+        # the optimizer's elementwise passes.
+        if self.grad is not None:
+            self.grad += g
+        elif owned and isinstance(g, np.ndarray) and g.dtype == self.dtype \
+                and g.flags.writeable \
+                and (self.backward is not None or g.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.dtype,
+                                 order="K" if self.backward is not None else "C")
+
+
+class Tensor:
+    """N-dimensional array with optional gradient tracking.
+
+    ``grad``, ``_backward`` and ``_parents`` (parent nodes) live on the
+    tensor's graph node; the first two can also be set through the tensor.
+    """
+
+    __slots__ = ("data", "requires_grad", "_op", "_node")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         # float32/float64 numpy inputs keep their precision; anything else
@@ -99,12 +150,30 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Optional[Callable[[], None]] = None
         self._op = "leaf"
+        self._node = _Node(arr.dtype)
 
     # ---- bookkeeping ----------------------------------------------------
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._node.grad = value
+
+    @property
+    def _backward(self) -> Optional[Callable[[], None]]:
+        return self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn: Optional[Callable[[], None]]) -> None:
+        self._node.backward = fn
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return self._node.parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -130,20 +199,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        # ``owned`` marks arrays this tensor may keep (and later add into)
-        # without copying: fresh temporaries or views of already-consumed
-        # gradients. Pass-through gradients must be copied to avoid aliasing
-        # two live accumulators.
-        if self.grad is None:
-            if owned and isinstance(g, np.ndarray) and g.dtype == self.data.dtype \
-                    and g.flags.writeable:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op})"
 
@@ -153,8 +208,11 @@ class Tensor:
         """Accumulate gradients of self w.r.t. every tracked ancestor.
 
         ``seed`` may be omitted only for scalar outputs (implied seed 1).
-        The graph is released afterwards; intermediate gradients are dropped
-        as soon as they are consumed and only leaf gradients survive.
+        The nodes run in reverse topological order, and each one drops its
+        closure and its parents right after its turn: the arrays that the
+        closure kept are freed as the pass moves toward the inputs, and an
+        intermediate gradient as soon as it is consumed. Only leaf
+        gradients survive.
         """
         if seed is None:
             if self.size != 1:
@@ -166,11 +224,11 @@ class Tensor:
             seed = np.asarray(seed, dtype=self.data.dtype)
             if seed.shape != self.shape:
                 raise ShapeError(f"seed shape {seed.shape} != output shape {self.shape}")
-        self._accumulate(seed)
+        self._node.accumulate(seed)
         # the nodes reachable from self, in forward topological order
-        nodes: list[Tensor] = []
+        nodes: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -180,17 +238,16 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         for node in reversed(nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
-                if node._parents:
-                    node.grad = None  # consumed; only leaf grads survive
-        for node in nodes:
-            node._backward = None
-            node._parents = ()
+            if node.backward is not None and node.grad is not None:
+                node.backward()
+            if node.parents:
+                node.grad = None  # consumed; only leaf grads survive
+            node.backward = None
+            node.parents = ()
 
     # ---- arithmetic -----------------------------------------------------
 
@@ -209,20 +266,21 @@ class Tensor:
 
     def __mul__(self, other):
         return _binary(self, other, np.multiply, "mul",
-                       lambda a, b, g: g * b, lambda a, b, g: g * a)
+                       lambda a, b, g: g * b, lambda a, b, g: g * a,
+                       reads=("b", "a"))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return _binary(self, other, np.divide, "div",
                        lambda a, b, g: g / b,
-                       lambda a, b, g: -g * a / (b * b))
+                       lambda a, b, g: -g * a / (b * b), reads=("b", "ab"))
 
     def __rtruediv__(self, other):
         return _as_tensor(other, self.dtype) / self
 
     def __neg__(self):
-        return _unary(self, lambda a: -a, "neg", lambda a, y, g: -g)
+        return _unary(self, lambda a: -a, "neg", lambda kept, g: -g)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -236,9 +294,11 @@ class Tensor:
         out = _make(np.ascontiguousarray(self.data).reshape(shape), (self,),
                     "reshape", check=False)
         if out.requires_grad:
+            node, nx = out._node, self._node
+
             def backward():
-                self._accumulate(out.grad.reshape(old), owned=True)
-            out._backward = backward
+                nx.accumulate(node.grad.reshape(old), owned=True)
+            node.backward = backward
         return out
 
     def transpose(self, *axes) -> "Tensor":
@@ -247,9 +307,11 @@ class Tensor:
         inv = tuple(np.argsort(axes))
         out = _make(self.data.transpose(axes), (self,), "transpose", check=False)
         if out.requires_grad:
+            node, nx = out._node, self._node
+
             def backward():
-                self._accumulate(out.grad.transpose(inv), owned=True)
-            out._backward = backward
+                nx.accumulate(node.grad.transpose(inv), owned=True)
+            node.backward = backward
         return out
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -274,16 +336,17 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], op: str,
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._backward = None
     out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-    else:
-        out.requires_grad = False
-        out._parents = ()
+    out._node = _Node(data.dtype)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    if out.requires_grad:
+        out._node.parents = tuple(p._node for p in parents)
     return out
+
+
+def _grad_node(t: Tensor) -> Optional[_Node]:
+    """The node a backward closure adds t's gradient into, or None."""
+    return t._node if t.requires_grad else None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -296,7 +359,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _binary(a, b, fn, op, grad_a, grad_b) -> Tensor:
+def _binary(a, b, fn, op, grad_a, grad_b, reads=("", "")) -> Tensor:
+    """``grad_a``/``grad_b`` map (a, b, g) to each operand's gradient and
+    read the operands named in ``reads[0]``/``reads[1]``. The closure keeps
+    an operand only if a gradient it takes reads it; otherwise it is None."""
     a = _as_tensor(a, getattr(b, "dtype", DEFAULT_DTYPE))
     b = _as_tensor(b, a.dtype)
     try:
@@ -305,26 +371,40 @@ def _binary(a, b, fn, op, grad_a, grad_b) -> Tensor:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
     out = _make(data, (a, b), op)
     if out.requires_grad:
+        node, na, nb = out._node, _grad_node(a), _grad_node(b)
+        taken = (reads[0] if na is not None else "") \
+            + (reads[1] if nb is not None else "")
+        ad = a.data if "a" in taken else None
+        bd = b.data if "b" in taken else None
+        ashape, bshape = a.shape, b.shape
+
         def backward():
-            g = out.grad
-            if a.requires_grad:
-                res = _unbroadcast(grad_a(a.data, b.data, g), a.shape)
-                a._accumulate(res, owned=res is not g)
-            if b.requires_grad:
-                res = _unbroadcast(grad_b(a.data, b.data, g), b.shape)
-                b._accumulate(res, owned=res is not g)
-        out._backward = backward
+            g = node.grad
+            if na is not None:
+                res = _unbroadcast(grad_a(ad, bd, g), ashape)
+                na.accumulate(res, owned=res is not g)
+            if nb is not None:
+                res = _unbroadcast(grad_b(ad, bd, g), bshape)
+                nb.accumulate(res, owned=res is not g)
+        node.backward = backward
     return out
 
 
-def _unary(x: Tensor, fn, op, grad_fn) -> Tensor:
+def _unary(x: Tensor, fn, op, grad_fn, reads: Optional[str] = None) -> Tensor:
+    """``grad_fn`` maps (kept, g) to the input gradient, where the closure
+    keeps the input if it ``reads="input"``, the output if ``"output"``,
+    and nothing (None) otherwise."""
     data = fn(x.data)
     out = _make(data, (x,), op)
     if out.requires_grad:
+        node, nx = out._node, x._node
+        kept = x.data if reads == "input" else data if reads == "output" else None
+
         def backward():
-            res = grad_fn(x.data, data, out.grad)
-            x._accumulate(res, owned=res is not out.grad)
-        out._backward = backward
+            g = node.grad
+            res = grad_fn(kept, g)
+            nx.accumulate(res, owned=res is not g)
+        node.backward = backward
     return out
 
 
@@ -340,17 +420,18 @@ def _reduce(x: Tensor, axis, keepdims: bool, scale: bool) -> Tensor:
         count = 1
         for a in axes:
             count *= x.shape[a]
+        node, nx, shape = out._node, x._node, x.shape
 
         def backward():
-            g = out.grad
+            g = node.grad
             if not keepdims:
                 g = np.expand_dims(g, axes)
-            g = np.broadcast_to(g, x.shape)
+            g = np.broadcast_to(g, shape)
             if scale:
-                x._accumulate(g / count, owned=True)
+                nx.accumulate(g / count, owned=True)
             else:
-                x._accumulate(g)
-        out._backward = backward
+                nx.accumulate(g)
+        node.backward = backward
     return out
 
 
@@ -358,21 +439,22 @@ def _reduce(x: Tensor, axis, keepdims: bool, scale: bool) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    return _unary(x, np.exp, "exp", lambda a, y, g: g * y)
+    return _unary(x, np.exp, "exp", lambda y, g: g * y, reads="output")
 
 
 def log(x: Tensor) -> Tensor:
-    return _unary(x, np.log, "log", lambda a, y, g: g / a)
+    return _unary(x, np.log, "log", lambda a, g: g / a, reads="input")
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes where lo <= x <= hi."""
     return _unary(x, lambda a: np.clip(a, lo, hi), "clip",
-                  lambda a, y, g: g * ((a >= lo) & (a <= hi)))
+                  lambda a, g: g * ((a >= lo) & (a <= hi)), reads="input")
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return _unary(x, _expit, "sigmoid", lambda a, y, g: g * y * (1.0 - y))
+    return _unary(x, _expit, "sigmoid", lambda y, g: g * y * (1.0 - y),
+                  reads="output")
 
 
 # float32 erf(t) ~ t*P(t^2)/Q(t^2) on t clamped to [-4, 4], beyond which
@@ -436,14 +518,15 @@ def gelu(x: Tensor) -> Tensor:
     graph = _grad_enabled and x.requires_grad
     out = _make(np.multiply(x.data, cdf, out=None if graph else cdf), (x,), "gelu")
     if out.requires_grad:
+        node, nx, a = out._node, x._node, x.data
+
         def backward():
-            a = x.data
             pdf = np.exp(-0.5 * a * a) * inv_sqrt2pi
-            gx = out.grad * (cdf + a * pdf)
+            gx = node.grad * (cdf + a * pdf)
             # flush subnormals: they make every later matmul on them slow
             gx[np.abs(gx) < np.finfo(gx.dtype).tiny] = 0.0
-            x._accumulate(gx, owned=True)
-        out._backward = backward
+            nx.accumulate(gx, owned=True)
+        node.backward = backward
     return out
 
 
@@ -475,18 +558,25 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         data += bias.data[:, None]
     out = _make(data, (a, b) if bias is None else (a, b, bias), "matmul")
     if out.requires_grad:
+        node, na, nb = out._node, _grad_node(a), _grad_node(b)
+        nbias = None if bias is None else _grad_node(bias)
+        # each operand is kept only for the other's gradient
+        ad = a.data if nb is not None else None
+        bd = b.data if na is not None else None
+        ashape, bshape = a.shape, b.shape
+
         def backward():
-            g = out.grad
-            if bias is not None and bias.requires_grad:
+            g = node.grad
+            if nbias is not None:
                 gb = _unbroadcast(g, (m, 1))
-                bias._accumulate(gb.reshape(m), owned=gb is not g)
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape), owned=True)
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape), owned=True)
-        out._backward = backward
+                nbias.accumulate(gb.reshape(m), owned=gb is not g)
+            if na is not None:
+                ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+                na.accumulate(_unbroadcast(ga, ashape), owned=True)
+            if nb is not None:
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+                nb.accumulate(_unbroadcast(gb, bshape), owned=True)
+        node.backward = backward
     return out
 
 
@@ -573,9 +663,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     convs run ``_depthwise`` on it and take the weight gradient from one
     einsum per tap; dense ones take both gradients from one im2col of the
     padded output gradient; the rest recompute the input columns and
-    scatter the input gradient back with col2im. Only the backward closure
-    of the im2col convs keeps the padded input; no im2col buffer outlives
-    the forward pass.
+    scatter the input gradient back with col2im. The backward closure keeps
+    the input only for the weight gradient (the im2col convs keep its
+    padded copy instead) and the weight only for the input gradient; no
+    im2col buffer outlives the forward pass.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -597,6 +688,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     fast = sh == sw == 1 and ph < kh and pw < kw
     depthwise = fast and cg == 1 and cout == cin == groups
     transposed = fast and groups == 1 and not depthwise
+    im2col = not (depthwise or transposed)
     # one spare zero row below the padded input keeps the last tap's
     # flattened slice in bounds on the shifted-GEMM path
     spare = 1 if transposed and kw > 1 else 0
@@ -625,8 +717,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     np.matmul(taps[i, j], xf[:, :, off:off + n], out=part)
                     wide += part
         data = np.ascontiguousarray(wide.reshape(b, cout, hout, wp)[..., :wout])
-        # the backward reads x, not its padded copy: the closure drops it
-        xp = None
     else:
         cols = _im2col(xp, kh, kw, sh, sw, hout, wout) \
             .reshape(b, groups, cg * kh * kw, hout * wout)
@@ -638,21 +728,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make(data, parents, "conv2d")
     if out.requires_grad:
+        node, nx, nw = out._node, _grad_node(x), _grad_node(weight)
+        nb = None if bias is None else _grad_node(bias)
+        xd = x.data if nw is not None and not im2col else None
+        xp = xp if nw is not None and im2col else None
+        wd = weight.data if nx is not None else None
+        xshape, wshape = x.shape, weight.shape
+
         def backward():
-            g = out.grad
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2, 3)), owned=True)
+            g = node.grad
+            if nb is not None:
+                nb.accumulate(g.sum(axis=(0, 2, 3)), owned=True)
             if depthwise:
-                if weight.requires_grad:
-                    xpd = np.pad(x.data, pads) if (ph or pw) else x.data
-                    dw = np.empty_like(weight.data)
+                if nw is not None:
+                    xpd = np.pad(xd, pads) if (ph or pw) else xd
+                    dw = np.empty(wshape, dtype=nw.dtype)
                     for i in range(kh):
                         for j in range(kw):
                             win = xpd[:, :, i:i + hout, j:j + wout]
                             dw[:, 0, i, j] = np.einsum("bchw,bchw->c", g, win)
-                    weight._accumulate(dw, owned=True)
-                if x.requires_grad:
-                    x._accumulate(_depthwise(g, weight.data[:, 0, ::-1, ::-1],
+                    nw.accumulate(dw, owned=True)
+                if nx is not None:
+                    nx.accumulate(_depthwise(g, wd[:, 0, ::-1, ::-1],
                                              kh - 1 - ph, kw - 1 - pw), owned=True)
             elif transposed:
                 # gcols[b, (o,i,j), (y,x)] = g[b, o, y+i-qh, x+j-qw], g padded
@@ -664,36 +761,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     if (qh or qw) else g
                 gcols = _im2col(gp, kh, kw, 1, 1, h, w) \
                     .reshape(b, cout * kh * kw, h * w)
-                if weight.requires_grad:
-                    xs = x.data.reshape(b, cin, h * w)
+                if nw is not None:
+                    xs = xd.reshape(b, cin, h * w)
                     dw = np.matmul(gcols, xs.swapaxes(-1, -2)).sum(axis=0)
                     dw = dw.reshape(cout, kh, kw, cin)[:, ::-1, ::-1] \
                         .transpose(0, 3, 1, 2)
-                    weight._accumulate(np.ascontiguousarray(dw), owned=True)
-                if x.requires_grad:
-                    wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                    nw.accumulate(np.ascontiguousarray(dw), owned=True)
+                if nx is not None:
+                    wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
                         .reshape(cin, cout * kh * kw)
-                    dx = np.matmul(wt[None], gcols).reshape(x.shape)
-                    x._accumulate(dx, owned=True)
+                    dx = np.matmul(wt[None], gcols).reshape(xshape)
+                    nx.accumulate(dx, owned=True)
             else:
                 gg = g.reshape(b, groups, cout // groups, hout * wout)
-                if weight.requires_grad:
+                if nw is not None:
                     cols = _im2col(xp, kh, kw, sh, sw, hout, wout) \
                         .reshape(b, groups, cg * kh * kw, hout * wout)
                     dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0)
-                    weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
-                    wg = weight.data.reshape(groups, cout // groups, cg * kh * kw)
+                    nw.accumulate(dw.reshape(wshape), owned=True)
+                if nx is not None:
+                    wg = wd.reshape(groups, cout // groups, cg * kh * kw)
                     dcols = np.matmul(np.swapaxes(wg, -1, -2)[None], gg)
                     dcols = dcols.reshape(b, cin, kh, kw, hout, wout)
-                    dxp = np.zeros_like(xp)
+                    dxp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw), dtype=nx.dtype)
                     for i in range(kh):
                         for j in range(kw):
                             dxp[:, :, i:i + sh * hout:sh, j:j + sw * wout:sw] += \
                                 dcols[:, :, i, j]
-                    x._accumulate(dxp[:, :, ph:ph + h, pw:pw + w]
+                    nx.accumulate(dxp[:, :, ph:ph + h, pw:pw + w]
                                   if (ph or pw) else dxp, owned=True)
-        out._backward = backward
+        node.backward = backward
     return out
 
 
@@ -719,14 +816,16 @@ def softmax(x: Tensor, axis: int = -1, scale: Optional[float] = None) -> Tensor:
     data /= data.sum(axis=axis, keepdims=True)
     out = _make(data, (x,), "softmax")
     if out.requires_grad:
+        node, nx = out._node, x._node
+
         def backward():
-            g = out.grad
+            g = node.grad
             dot = (g * data).sum(axis=axis, keepdims=True)
             gx = data * (g - dot)
             if s is not None:
                 gx *= s
-            x._accumulate(gx, owned=True)
-        out._backward = backward
+            nx.accumulate(gx, owned=True)
+        node.backward = backward
     return out
 
 
@@ -757,22 +856,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     data += beta.data.reshape(affine)
     out = _make(data, (x, gamma, beta), "layer_norm")
     if out.requires_grad:
+        node, nx, ngamma, nbeta = (out._node, _grad_node(x), _grad_node(gamma),
+                                   _grad_node(beta))
+
         def backward():
-            g = out.grad
+            g = node.grad
             rest = tuple(i for i in range(g.ndim) if i != axis)
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=rest), owned=True)
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=rest), owned=True)
-            if x.requires_grad:
+            if nbeta is not None:
+                nbeta.accumulate(g.sum(axis=rest), owned=True)
+            if ngamma is not None:
+                ngamma.accumulate((g * xhat).sum(axis=rest), owned=True)
+            if nx is not None:
                 dxhat = g * gam
                 m1 = dxhat.mean(axis=axis, keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
                 dx = dxhat - m1
                 dx -= xhat * m2
                 dx *= inv
-                x._accumulate(dx, owned=True)
-        out._backward = backward
+                nx.accumulate(dx, owned=True)
+        node.backward = backward
     return out
 
 
@@ -805,9 +907,11 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     data = np.matmul(np.matmul(wy, x.data), wx.T)
     out = _make(data, (x,), "resize_bilinear", check=False)
     if out.requires_grad:
+        node, nx = out._node, x._node
+
         def backward():
-            x._accumulate(np.matmul(np.matmul(wy.T, out.grad), wx), owned=True)
-        out._backward = backward
+            nx.accumulate(np.matmul(np.matmul(wy.T, node.grad), wx), owned=True)
+        node.backward = backward
     return out
 
 
@@ -821,15 +925,15 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     out = _make(data, tuple(ts), "concat", check=False)
     if out.requires_grad:
-        sizes = [t.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
+        node, nodes = out._node, [_grad_node(t) for t in ts]
+        offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
         def backward():
-            g = out.grad
+            g = node.grad
             idx: list = [slice(None)] * g.ndim
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
+            for nt, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+                if nt is not None:
                     idx[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(idx)], owned=True)
-        out._backward = backward
+                    nt.accumulate(g[tuple(idx)], owned=True)
+        node.backward = backward
     return out

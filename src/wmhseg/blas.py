@@ -11,9 +11,6 @@ that); setting it later changes nothing. It finds the libraries in ``/proc/self/
 calls their ``*_get_num_threads``/``*_set_num_threads`` symbols through
 ctypes. Where none is found (no OpenBLAS, or no ``/proc``) it pins nothing
 and yields 1.
-
-Nested and concurrent pins share one count: the first pin saves the
-previous thread counts, and the last release restores them.
 """
 
 from __future__ import annotations
@@ -28,11 +25,6 @@ import threading
 # OpenBLAS, scipy's bundled 32-bit one, and plain system builds
 _SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
             "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
-
-# the OpenBLAS thread count is process-wide, and so is the pin count
-_lock = threading.Lock()
-_pins = 0
-_saved: list[tuple[object, int]] = []
 
 
 def _controls() -> list[tuple[object, object]]:
@@ -62,23 +54,17 @@ def _controls() -> list[tuple[object, object]]:
 
 @contextlib.contextmanager
 def single_threaded():
-    """Pin OpenBLAS to one thread inside the block; yields the count before."""
-    global _pins, _saved
-    with _lock:
-        if _pins == 0:
-            _saved = [(set_, int(get())) for get, set_ in _controls()]
-            for set_, _ in _saved:
-                set_(1)
-        _pins += 1
-        before = min((n for _, n in _saved), default=1)
+    """Pin OpenBLAS to one thread inside the block; yields the count before.
+
+    Pins do not nest: no pool task starts a pool, and pools never overlap."""
+    saved = [(set_, int(get())) for get, set_ in _controls()]
+    for set_, _ in saved:
+        set_(1)
     try:
-        yield before
+        yield min((n for _, n in saved), default=1)
     finally:
-        with _lock:
-            _pins -= 1
-            if _pins == 0:
-                for set_, n in _saved:
-                    set_(n)
+        for set_, n in saved:
+            set_(n)
 
 
 def run_parallel(task, n: int, after_wave=None) -> None:

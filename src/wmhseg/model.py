@@ -24,9 +24,11 @@ Attention heads split along C and the scores are laid out [B,heads,M,N]
 Checkpoint container: magic ``WMHS``, u32 format version, JSON-serialized
 config, then per parameter (path, shape, raw little-endian float32 values).
 The config's ``normalization_scope`` is the one inference uses ('slice' if
-absent). Older headers also carry ``in_channels``, ``out_channels`` and
-``ffn_expansion``, which load only at the fixed values below. Round-trips
-are bit-exact; a save replaces the file atomically.
+absent). ``reduction_factors`` and ``decoder_channels`` are written from the
+fixed architecture (``REDUCTION_FACTORS`` and the stage widths); older
+headers also carry ``in_channels``, ``out_channels`` and ``ffn_expansion``.
+All five load only at the fixed values, or when absent; any other value is a
+bad config. Round-trips are bit-exact; a save replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ CHECKPOINT_VERSION = 1
 
 # (kernel, stride, padding) of the patch embedding per stage
 PATCH_KERNELS = ((7, 4, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1))
+# spatial reduction of the attention's key/value sequence per stage: each
+# side shrinks by 8, 4, 2, 1, as in every SegFormer variant
+REDUCTION_FACTORS = (64, 16, 4, 1)
 # one FLAIR channel in, one lesion logit out, and SegFormer's Mix-FFN width
 IN_CHANNELS = 1
 OUT_CHANNELS = 1
@@ -62,21 +67,17 @@ class ModelConfig:
     """Architecture hyperparameters; defaults are the smallest trainable instance."""
     stage_channels: tuple[int, int, int, int] = (32, 64, 160, 256)
     stage_depths: tuple[int, int, int, int] = (2, 2, 2, 2)
-    reduction_factors: tuple[int, int, int, int] = (64, 16, 4, 1)
     num_heads: tuple[int, int, int, int] = (1, 2, 5, 8)
-    decoder_channels: tuple[int, int, int, int] = (32, 64, 160, 256)
     input_size: tuple[int, int] = (256, 256)
     normalization_scope: str = "slice"  # input min-max per slice|volume
 
     def __post_init__(self):
-        for name in ("stage_channels", "stage_depths", "reduction_factors",
-                     "num_heads", "decoder_channels", "input_size"):
+        for name in ("stage_channels", "stage_depths", "num_heads", "input_size"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.normalization_scope not in ("slice", "volume"):
             raise ConfigError("normalization_scope must be slice|volume, got "
                               f"{self.normalization_scope!r}")
-        stages = (self.stage_channels, self.stage_depths, self.reduction_factors,
-                  self.num_heads, self.decoder_channels)
+        stages = (self.stage_channels, self.stage_depths, self.num_heads)
         # the preprocessing makes square slices
         if any(len(t) != 4 for t in stages) or len(self.input_size) != 2 \
                 or not all(isinstance(v, int) and v >= 1
@@ -84,18 +85,14 @@ class ModelConfig:
                 or self.input_size[0] != self.input_size[1]:
             raise ConfigError("sizes must be positive integers, 4 per stage, with "
                               "a square input")
-        for i in range(4):
-            c, heads, r = self.stage_channels[i], self.num_heads[i], \
-                self.reduction_factors[i]
+        for i, r in enumerate(REDUCTION_FACTORS):
+            c, heads = self.stage_channels[i], self.num_heads[i]
             if c % heads != 0:
                 raise ConfigError(f"stage {i + 1}: channels {c} not divisible by "
                                   f"{heads} heads")
             root = math.isqrt(r)
-            if root * root != r:
-                raise ConfigError(f"stage {i + 1}: reduction factor {r} is not a "
-                                  "perfect square")
             h, w = self.stage_dims(i)
-            if h * w % r != 0 or (root and (h % root or w % root)):
+            if h % root or w % root:
                 raise ConfigError(f"stage {i + 1}: reduction {r} incompatible with "
                                   f"token grid {h}x{w}")
 
@@ -112,14 +109,13 @@ class ModelConfig:
     def reduced(cls) -> "ModelConfig":
         """Desk-scale variant used for CPU training runs."""
         return cls(stage_channels=(16, 32, 64, 128), stage_depths=(1, 1, 1, 1),
-                   num_heads=(1, 2, 4, 8), decoder_channels=(16, 32, 64, 128))
+                   num_heads=(1, 2, 4, 8))
 
     @classmethod
     def tiny(cls) -> "ModelConfig":
         """Smallest wiring-complete variant, for gradient checking."""
         return cls(stage_channels=(8, 8, 8, 8), stage_depths=(1, 1, 1, 1),
-                   num_heads=(1, 2, 4, 8), decoder_channels=(8, 8, 8, 8),
-                   input_size=(32, 32))
+                   num_heads=(1, 2, 4, 8), input_size=(32, 32))
 
 
 # ---- parameter registry -----------------------------------------------------
@@ -137,7 +133,7 @@ def parameter_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
     for i in range(4):
         c = config.stage_channels[i]
         k, _, _ = PATCH_KERNELS[i]
-        r = config.reduction_factors[i]
+        r = REDUCTION_FACTORS[i]
         stage = f"stage{i + 1}"
         specs += [
             (f"{stage}.embed.weight", (c, cin, k, k), "conv"),
@@ -183,17 +179,16 @@ def parameter_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
         ]
         cin = c
 
-    d_in = config.stage_channels[3]
+    # each fuse takes the deeper map and the skip, and returns the skip's width
+    widths = config.stage_channels
     for j, si in enumerate((2, 1, 0)):
-        cout = config.decoder_channels[si]
+        c = widths[si]
         specs += [
-            (f"decoder.fuse{j}.weight", (cout, d_in + config.stage_channels[si], 3, 3),
-             "conv"),
-            (f"decoder.fuse{j}.bias", (cout,), "zeros"),
+            (f"decoder.fuse{j}.weight", (c, widths[si + 1] + c, 3, 3), "conv"),
+            (f"decoder.fuse{j}.bias", (c,), "zeros"),
         ]
-        d_in = cout
     specs += [
-        ("decoder.head.weight", (OUT_CHANNELS, d_in, 1, 1), "conv"),
+        ("decoder.head.weight", (OUT_CHANNELS, widths[0], 1, 1), "conv"),
         ("decoder.head.bias", (OUT_CHANNELS,), "zeros"),
     ]
     return specs
@@ -335,8 +330,7 @@ def encoder_forward(image: Tensor, params: dict[str, Tensor],
             normed = T.layer_norm(tokens, params[f"{blk}.norm1.gamma"],
                                   params[f"{blk}.norm1.beta"], axis=1)
             tokens = tokens + efficient_attention(
-                normed, h, w, attn_p, config.reduction_factors[i],
-                config.num_heads[i])
+                normed, h, w, attn_p, REDUCTION_FACTORS[i], config.num_heads[i])
             normed = T.layer_norm(tokens, params[f"{blk}.norm2.gamma"],
                                   params[f"{blk}.norm2.beta"], axis=1)
             tokens = tokens + mix_ffn(normed, h, w, subparams(params, f"{blk}.ffn"))
@@ -387,10 +381,17 @@ def model_forward(image: Tensor, params: dict[str, Tensor],
 # ---- checkpoint container ---------------------------------------------------
 
 
+def _derived_keys(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Header keys that the architecture fixes, at their values for ``config``."""
+    return {"reduction_factors": REDUCTION_FACTORS,
+            "decoder_channels": config.stage_channels}
+
+
 def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> int:
     """Write the container atomically; returns the CRC-32 of its bytes."""
+    header = dict(asdict(config), **_derived_keys(config))
     # the values as a flat byte view of each parameter, not a copy
-    return write_blob(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, asdict(config),
+    return write_blob(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
                       [(name, [struct.pack(f"<B{p.ndim}I", p.ndim, *p.shape),
                                np.ascontiguousarray(p.data, dtype="<f4")
                                .reshape(-1).view(np.uint8)])
@@ -481,12 +482,15 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     r = BlobReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     header = r.json()
     try:
-        if isinstance(header, dict):
-            for key, fixed in _FIXED_KEYS.items():
-                found = header.pop(key, fixed)
-                if type(found) is not int or found != fixed:
-                    raise ConfigError(f"{key} must be {fixed}, got {found!r}")
+        fixed_keys = (*_FIXED_KEYS, "reduction_factors", "decoder_channels")
+        found = {key: header.pop(key) for key in fixed_keys
+                 if key in header} if isinstance(header, dict) else {}
         config = ModelConfig(**header)
+        for key, fixed in dict(_FIXED_KEYS, **_derived_keys(config)).items():
+            # compared as JSON text, so 4.0 and true are not 4 and 1
+            if key in found and json.dumps(found[key]) != json.dumps(fixed):
+                raise ConfigError(f"{key} must be {json.dumps(fixed)}, "
+                                  f"got {found[key]!r}")
     except (TypeError, ConfigError) as exc:
         raise DataFormatError(f"{path}: bad model config: {exc}") from None
     specs = {name: shape for name, shape, _ in parameter_specs(config)}

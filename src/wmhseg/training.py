@@ -46,6 +46,7 @@ from . import blas
 from . import tensor as T
 from .artifacts import KINDS
 from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
+from .fileio import atomic_write
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
 from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
@@ -244,6 +245,7 @@ class TrainResult:
 
 
 SHARD = 2  # samples per training or inference shard; the last may hold 1
+LOG_HEADER = b"epoch,train_loss,val_loss,lr,wall_time\r\n"
 
 
 def _epoch_pass(params, model_cfg, images, masks, rows, order, batch_size,
@@ -311,6 +313,23 @@ def _epoch_pass(params, model_cfg, images, masks, rows, order, batch_size,
     return total / max(count, 1)
 
 
+def _start_log(log_path: str, epoch: int) -> None:
+    """Write the training log anew, atomically: the header, then the last
+    row of each epoch 1..``epoch`` found in the old log.
+
+    A resume repeats an epoch whose row was written but whose saves were
+    not (the run died in between), and may write to a fresh directory."""
+    keep = {str(e).encode() for e in range(1, epoch + 1)}
+    rows: dict[bytes, bytes] = {}
+    if epoch and Path(log_path).exists():
+        for line in Path(log_path).read_bytes().splitlines(keepends=True):
+            first = line.split(b",", 1)[0]
+            if first in keep and line.endswith(b"\n"):
+                rows[first] = line
+    with atomic_write(log_path) as fh:
+        fh.write(b"".join([LOG_HEADER, *rows.values()]))
+
+
 def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
           out_dir, resume: Optional[str] = None) -> TrainResult:
     """Full training run driven by a manifest file; writes checkpoints (of
@@ -346,20 +365,17 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
         if state.checkpoint_crc not in (None, zlib.crc32(Path(resume).read_bytes())):
             raise DataFormatError(f"{resume}.state: written with another "
                                   f"checkpoint than {resume} (torn save?)")
-        log_mode = "a"
     else:
         params = init_parameters(model_cfg, train_cfg.seed)
         state = TrainState(lr=train_cfg.lr,
                            rng=np.random.default_rng(
                                derive_seed(train_cfg.seed, 0xBA7C4)))
-        log_mode = "w"
 
     history: list[dict] = []
     best_val = state.best_val if state.best_val is not None else float("inf")
-    with open(log_path, log_mode, newline="") as log_fh:
+    _start_log(log_path, state.epoch)
+    with open(log_path, "a", newline="") as log_fh:
         writer = csv.writer(log_fh)
-        if log_mode == "w":
-            writer.writerow(["epoch", "train_loss", "val_loss", "lr", "wall_time"])
         start_epoch = state.epoch
         for epoch in range(start_epoch + 1, start_epoch + train_cfg.epochs + 1):
             t0 = time.perf_counter()
@@ -535,4 +551,7 @@ def load_train_state(path, params: dict[str, Tensor]) -> TrainState:
         state.m[name] = r.floats(params[name].shape).copy()
         state.v[name] = r.floats(params[name].shape).copy()
     r.finish()
+    missing = [name for name in params if name not in state.m]
+    if missing:
+        raise DataFormatError(f"{path}: no moments for parameter '{missing[0]}'")
     return state

@@ -529,8 +529,13 @@ class TestSegmentCommand:
     @pytest.mark.parametrize("edit,needles", [
         ("narrow", ("'stage1.embed.weight'", "(3, 1, 7, 7)")),
         ("drop", ("missing", "'decoder.head.bias'")),
-        # a key older headers carry, at a value the network cannot have
+        # keys the header holds at values the network cannot have: one
+        # older headers carry, and two written from the fixed architecture
         ("in_channels", ("in_channels must be 1, got 2",)),
+        ("reduction_factors",
+         ("reduction_factors must be [64, 16, 4, 1], got [64, 16, 16, 1]",)),
+        ("decoder_channels",
+         ("decoder_channels must be [8, 8, 8, 8], got [8, 8, 16, 8]",)),
     ])
     def test_checkpoint_not_matching_config_data_error(
             self, dataset, checkpoint, tmp_path, capsys, edit, needles):
@@ -542,9 +547,11 @@ class TestSegmentCommand:
             del params["decoder.head.bias"]
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, params, cfg)
-        if edit == "in_channels":
-            bad.write_bytes(edit_json_header(bad.read_bytes(),
-                                             lambda h: h.update(in_channels=2)))
+        header_edits = {"in_channels": 2, "reduction_factors": [64, 16, 16, 1],
+                        "decoder_channels": [8, 8, 16, 8]}
+        if edit in header_edits:
+            bad.write_bytes(edit_json_header(
+                bad.read_bytes(), lambda h: h.update({edit: header_edits[edit]})))
         code = main(["segment", "--checkpoint", str(bad),
                      "--in", str(dataset / "phantom000.nii"),
                      "--out", str(tmp_path / "o.nii")])

@@ -10,8 +10,8 @@ import pytest
 from wmhseg import model as model_module, tensor as T
 from wmhseg.errors import ConfigError, DataFormatError, ShapeError
 from wmhseg.losses import combined_loss
-from wmhseg.model import (ModelConfig, PATCH_KERNELS, decoder_forward,
-                          efficient_attention, encoder_forward,
+from wmhseg.model import (ModelConfig, PATCH_KERNELS, REDUCTION_FACTORS,
+                          decoder_forward, efficient_attention, encoder_forward,
                           init_parameters, load_checkpoint, mix_ffn,
                           model_forward, overlap_patch_embed, parameter_count,
                           parameter_specs, save_checkpoint, subparams)
@@ -118,10 +118,6 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(stage_channels=(32, 65, 160, 256))
 
-    def test_reduction_must_be_perfect_square(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(reduction_factors=(32, 16, 4, 1))
-
     def test_reduction_must_divide_grid(self):
         # 40x40 input gives a 10x10 stage-1 grid; sqrt(64)=8 does not divide 10
         with pytest.raises(ConfigError):
@@ -135,9 +131,9 @@ class TestModelConfig:
             ModelConfig(normalization_scope="patient")
 
     @pytest.mark.parametrize("field,value", [
-        ("num_heads", (1, 0, 4, 8)), ("reduction_factors", (64, 16, 4, -1)),
-        ("stage_depths", (1, 1, 1)), ("stage_channels", (8, 8, 8, 0)),
-        ("decoder_channels", (8, 8, 8, 8.0)), ("input_size", (32, 64)),
+        ("num_heads", (1, 0, 4, 8)), ("stage_depths", (1, 1, 1)),
+        ("stage_channels", (8, 8, 8, 0)), ("num_heads", (1, 2, 4, 8.0)),
+        ("input_size", (32, 64)),
     ])
     def test_sizes_outside_the_contract_rejected(self, field, value):
         from dataclasses import asdict
@@ -229,7 +225,7 @@ class TestEfficientAttention:
                                .astype(np.float32)))
             p = subparams(params, f"stage{i + 1}.block0.attn")
             _, wts = efficient_attention(tokens, h, w, p,
-                                         cfg.reduction_factors[i],
+                                         REDUCTION_FACTORS[i],
                                          cfg.num_heads[i], return_weights=True)
             sums = wts.data.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-6
@@ -379,12 +375,12 @@ class TestEncoderDecoder:
         zeroed["out_weight"] = Tensor(np.zeros((c, c), np.float32))
         zeroed["out_bias"] = Tensor(np.zeros(c, np.float32))
         att0 = efficient_attention(normed.transpose(0, 2, 1), h, w, zeroed,
-                                   cfg.reduction_factors[0], 1)
+                                   REDUCTION_FACTORS[0], 1)
         block_out = Tensor(tokens) + att0.transpose(0, 2, 1)
         np.testing.assert_allclose(block_out.data, tokens, atol=1e-7)
         # with live attention, output differs from both branch and identity
         att = efficient_attention(normed.transpose(0, 2, 1), h, w, p,
-                                  cfg.reduction_factors[0], 1).transpose(0, 2, 1)
+                                  REDUCTION_FACTORS[0], 1).transpose(0, 2, 1)
         full = Tensor(tokens) + att
         assert np.abs(full.data - tokens).max() > 1e-6
         assert np.abs(full.data - att.data).max() > 1e-6
@@ -460,7 +456,7 @@ class TestModelForward:
         ops = [op(n) for n in nodes]
         biased = [n for n in nodes if op(n) == "matmul" and len(n.parents) == 3]
         # q, k, v, out, fc1, fc2 per block, plus sr where reduction > 1
-        assert len(biased) == 4 * 6 + sum(r > 1 for r in cfg.reduction_factors)
+        assert len(biased) == 4 * 6 + sum(r > 1 for r in REDUCTION_FACTORS)
         assert ops.count("softmax") == 4
 
 
@@ -603,7 +599,7 @@ class TestInitParameters:
             for i in range(4):
                 c = cfg.stage_channels[i]
                 k = PATCH_KERNELS[i][0]
-                r = cfg.reduction_factors[i]
+                r = REDUCTION_FACTORS[i]
                 e = c * 4                                  # Mix-FFN expansion
                 total += c * cin * k * k + c + 2 * c       # embed conv + norm
                 per_block = (2 * c                         # norm1
@@ -619,7 +615,7 @@ class TestInitParameters:
                 cin = c
             d_in = cfg.stage_channels[3]
             for si in (2, 1, 0):
-                cout = cfg.decoder_channels[si]
+                cout = cfg.stage_channels[si]
                 total += cout * (d_in + cfg.stage_channels[si]) * 9 + cout
                 d_in = cout
             total += d_in + 1                              # 1x1 head to 1 logit
@@ -671,11 +667,19 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key,value", [
         (None, None), ("in_channels", 2), ("out_channels", 2),
         ("ffn_expansion", 0), ("ffn_expansion", 4.0), ("in_channels", True),
+        ("reduction_factors", [64, 16, 4, 4]),
+        ("reduction_factors", [64, 16, 4, 1.0]),
+        ("decoder_channels", [8, 8, 8, 16]),
+        # the default model's widths, which a header without the key got
+        ("decoder_channels", [32, 64, 160, 256]),
     ], ids=["fixed-values", "in_channels-2", "out_channels-2",
-            "ffn_expansion-0", "ffn_expansion-float", "in_channels-bool"])
+            "ffn_expansion-0", "ffn_expansion-float", "in_channels-bool",
+            "reduction-other", "reduction-float", "decoder-other",
+            "decoder-default-widths"])
     def test_former_config_keys_only_at_fixed_values(self, tmp_path, key, value):
         # headers from before the channel counts and the expansion were
-        # constants carry them; they load only at the constants' values
+        # constants carry them, and every header carries the reduction and
+        # decoder widths; they load only at the architecture's values
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 0)
         path = tmp_path / "m.ckpt"
@@ -693,6 +697,24 @@ class TestCheckpoint:
         else:
             with pytest.raises(DataFormatError, match=f"m.ckpt: .*{key}"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("preset", ["tiny", "reduced", "default"])
+    def test_header_without_architecture_keys_loads(self, tmp_path, preset):
+        cfg = ModelConfig() if preset == "default" else getattr(ModelConfig,
+                                                                preset)()
+        params = init_parameters(cfg, 0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, cfg)
+
+        def drop_keys(header):
+            # written from the architecture, and dropped here
+            assert header.pop("reduction_factors") == list(REDUCTION_FACTORS)
+            assert header.pop("decoder_channels") == list(cfg.stage_channels)
+        path.write_bytes(edit_json_header(path.read_bytes(), drop_keys))
+        loaded, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        for k in params:
+            np.testing.assert_array_equal(loaded[k].data, params[k].data)
 
     def test_magic_bytes(self, tmp_path):
         cfg = ModelConfig.tiny()
@@ -774,3 +796,34 @@ class TestFullModelGradient:
             num = (fp - fm) / (2 * step)
             ana = p.grad.reshape(-1)[idx]
             assert abs(ana - num) / max(1.0, abs(num)) < 1e-4, path
+
+
+# SHA-256 of save_checkpoint(init_parameters(cfg, 0), cfg) per preset and
+# normalization scope: any drift of the checkpoint format or of the
+# initialization shows here
+CHECKPOINT_SHA256 = {
+    ("tiny", "slice"):
+        "3f6d66b189bd416dd1d2d78746824ba2299ede0e5dc0a0ef481e736f68ee47f5",
+    ("tiny", "volume"):
+        "c1ae9889aad458a32aa4aee6a3a8037c40ffde0cede362eaacef9fb3a8128adb",
+    ("reduced", "slice"):
+        "25a3ab35d5dab0b4aee447da5739380e59d55b24f94ec7b79d80325d7476d1c7",
+    ("reduced", "volume"):
+        "d833f139665ee236a55849befc6875a42f5eb9120e1c6ee6a759b83928a5bb17",
+    ("default", "slice"):
+        "b2390c0778da2f2dbfedd38bc85d37299a89cb644e691672163530d0703fa84d",
+    ("default", "volume"):
+        "bcf70515d3df0d57bd552338abe82c3e73acbcc24aacc919602ec7250499c711",
+}
+
+
+@pytest.mark.parametrize("preset,scope", list(CHECKPOINT_SHA256))
+def test_initial_checkpoint_bytes_pinned(tmp_path, preset, scope):
+    import hashlib
+    from dataclasses import replace
+    base = ModelConfig() if preset == "default" else getattr(ModelConfig, preset)()
+    cfg = replace(base, normalization_scope=scope)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_parameters(cfg, 0), cfg)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        CHECKPOINT_SHA256[preset, scope]

@@ -280,6 +280,41 @@ class TestTrainLoop:
               resume=res.last_checkpoint)
         assert run_outputs(tmp_path / "whole") == run_outputs(tmp_path / "split")
 
+    def test_resume_after_a_crash_between_log_row_and_saves(
+            self, dataset, tmp_path, monkeypatch):
+        # the run dies once epoch 2's row is logged, at its last.ckpt save;
+        # the resume repeats epoch 2, and the log keeps one row for it
+        tcfg = TrainConfig(lr=1e-3, batch_size=5, epochs=2, seed=6)
+        train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "whole")
+        save, last_saves = training.save_checkpoint, []
+
+        def dying_save(path, *args):
+            if path.endswith("last.ckpt"):
+                last_saves.append(path)
+                if len(last_saves) == 2:
+                    raise OSError(28, "No space left on device", path)
+            return save(path, *args)
+        with monkeypatch.context() as m:
+            m.setattr(training, "save_checkpoint", dying_save)
+            with pytest.raises(OSError):
+                train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "split")
+        with open(tmp_path / "split" / "train_log.csv") as fh:
+            assert [r["epoch"] for r in csv.DictReader(fh)] == ["1", "2"]
+        train(replace(tcfg, epochs=1), ModelConfig.tiny(), dataset,
+              tmp_path / "split", resume=str(tmp_path / "split" / "last.ckpt"))
+        assert run_outputs(tmp_path / "whole") == run_outputs(tmp_path / "split")
+
+    def test_resume_into_a_fresh_directory_logs_the_header(self, dataset,
+                                                           tmp_path):
+        tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4)
+        res = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "a")
+        res2 = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "b",
+                     resume=res.last_checkpoint)
+        with open(res2.log_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "train_loss", "val_loss", "lr", "wall_time"]
+        assert [r[0] for r in rows[1:]] == ["2"]
+
     def test_checkpoints_record_the_training_scope(self, dataset, tmp_path):
         from wmhseg.model import load_checkpoint
         tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4,
@@ -357,6 +392,16 @@ class TestTrainStatePersistence:
                 load_train_state(bad, params)
         with pytest.raises(DataFormatError, match="unknown parameter"):
             load_train_state(path, {k: p for k, p in list(params.items())[1:]})
+
+    def test_state_without_a_parameters_moments_rejected(self, tmp_path):
+        params = init_parameters(ModelConfig.tiny(), 0)
+        path = tmp_path / "run.state"
+        dropped = "stage2.block0.attn.k_weight"
+        save_train_state(path, TrainState(lr=1e-3, rng=np.random.default_rng(1)),
+                         {k: p for k, p in params.items() if k != dropped})
+        with pytest.raises(DataFormatError,
+                           match=f"run.state: no moments for parameter '{dropped}'"):
+            load_train_state(path, params)
 
 
 class TestInferVolume:

@@ -251,7 +251,8 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--no-artifacts", action="store_true",
                    help="train on clean scans only (augmentation ablation)")
-    p.add_argument("--resume", default=None, metavar="CKPT")
+    p.add_argument("--resume", default=None, metavar="CKPT",
+                   help="continue the run that saved CKPT, from CKPT.state")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 

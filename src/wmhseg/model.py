@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -387,21 +386,21 @@ def _derived_keys(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             "decoder_channels": config.stage_channels}
 
 
-def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> int:
-    """Write the container atomically; returns the CRC-32 of its bytes."""
+def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig) -> None:
+    """Write the container atomically."""
     header = dict(asdict(config), **_derived_keys(config))
     # the values as a flat byte view of each parameter, not a copy
-    return write_blob(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
-                      [(name, [struct.pack(f"<B{p.ndim}I", p.ndim, *p.shape),
-                               np.ascontiguousarray(p.data, dtype="<f4")
-                               .reshape(-1).view(np.uint8)])
-                       for name, p in params.items()])
+    write_blob(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+               [(name, [struct.pack(f"<B{p.ndim}I", p.ndim, *p.shape),
+                        np.ascontiguousarray(p.data, dtype="<f4")
+                        .reshape(-1).view(np.uint8)])
+                for name, p in params.items()])
 
 
 def write_blob(path, magic: bytes, version: int, header: dict,
-               records: list[tuple[str, list]]) -> int:
+               records: list[tuple[str, list]]) -> None:
     """Write a checkpoint or train-state file atomically, in the framing
-    that ``BlobReader`` reads; returns the CRC-32 of its bytes.
+    that ``BlobReader`` reads.
 
     The file is the magic, the u32 version, the JSON header (sorted keys)
     after its u32 byte length, the u32 record count, then each record: its
@@ -413,12 +412,8 @@ def write_blob(path, magic: bytes, version: int, header: dict,
     for name, payload in records:
         enc = name.encode("utf-8")
         chunks += [struct.pack("<H", len(enc)), enc, *payload]
-    crc = 0
     with atomic_write(path) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-            crc = zlib.crc32(chunk, crc)
-    return crc
+        fh.writelines(chunks)
 
 
 class BlobReader:

@@ -14,11 +14,12 @@ images' bytes (a quarter when training on clean scans only). A batch's
 masks are gathered and made float32 when the batch is taken.
 
 Checkpoints use the model container, whose config records the training
-normalization scope that inference follows. Optimizer state for resuming
-lives in a sibling ``.state`` file (magic ``WMHT``) holding the Adam moments,
-the scheduler counters, the shuffling RNG state and the CRC-32 of its
-checkpoint. Both files are replaced atomically; resuming refuses a pair
-torn by a crash between the two writes.
+normalization scope that inference follows. A resume reads only the sibling
+``.state`` file (magic ``WMHT``), which holds the model config, each
+parameter's values and Adam moments, the scheduler counters and the
+shuffling RNG state. Each file is replaced atomically and the state is
+written last, so a crash between the writes leaves the previous epoch's
+state, and resuming from it repeats that epoch to the same bytes.
 
 Threads share the parameter arrays read-only. Training, validation and
 inference shards run on the package's one pool
@@ -35,8 +36,7 @@ import csv
 import math
 import sys
 import time
-import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,14 +50,14 @@ from .fileio import atomic_write
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
 from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
-                    model_forward, save_checkpoint, write_blob)
+                    model_forward, parameter_specs, save_checkpoint, write_blob)
 from .nifti import crop_pad_volume, make_slice_batch, read_nifti, unpreprocess_mask
 from .phantom import ManifestEntry, manifest_dir, read_manifest
 from .seeding import derive_seed
 from .tensor import Tensor
 
 STATE_MAGIC = b"WMHT"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 # the fixed recipe: Adam's decay rates and denominator guard, and the factor
 # and floor of the plateau schedule
@@ -101,7 +101,6 @@ class TrainState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     rng: Optional[np.random.Generator] = None
-    checkpoint_crc: Optional[int] = None  # CRC-32 of the paired checkpoint
 
 
 # ---- dataset handling -----------------------------------------------------
@@ -334,7 +333,8 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
           out_dir, resume: Optional[str] = None) -> TrainResult:
     """Full training run driven by a manifest file; writes checkpoints (of
     ``model_cfg`` with the training normalization scope) and a CSV log.
-    ``last.ckpt`` and its state are written after every epoch."""
+    ``last.ckpt`` and then its state are written after every epoch; a run
+    given ``resume`` continues from that checkpoint's ``.state`` alone."""
     model_cfg = replace(model_cfg,
                         normalization_scope=train_cfg.normalization_scope)
     entries = read_manifest(manifest)
@@ -357,14 +357,7 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
     log_path = str(out / "train_log.csv")
 
     if resume is not None:
-        params, ckpt_cfg = load_checkpoint(resume)
-        if ckpt_cfg != model_cfg:
-            raise ConfigError("resume checkpoint was trained with a different "
-                              "model config")
-        state = load_train_state(str(resume) + ".state", params)
-        if state.checkpoint_crc not in (None, zlib.crc32(Path(resume).read_bytes())):
-            raise DataFormatError(f"{resume}.state: written with another "
-                                  f"checkpoint than {resume} (torn save?)")
+        params, state = load_train_state(str(resume) + ".state", model_cfg)
     else:
         params = init_parameters(model_cfg, train_cfg.seed)
         state = TrainState(lr=train_cfg.lr,
@@ -372,12 +365,10 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
                                derive_seed(train_cfg.seed, 0xBA7C4)))
 
     history: list[dict] = []
-    best_val = state.best_val if state.best_val is not None else float("inf")
     _start_log(log_path, state.epoch)
     with open(log_path, "a", newline="") as log_fh:
         writer = csv.writer(log_fh)
-        start_epoch = state.epoch
-        for epoch in range(start_epoch + 1, start_epoch + train_cfg.epochs + 1):
+        for epoch in range(state.epoch + 1, state.epoch + train_cfg.epochs + 1):
             t0 = time.perf_counter()
             order = state.rng.permutation(len(tr_images))
             train_loss = _epoch_pass(params, model_cfg, tr_images, tr_masks,
@@ -386,20 +377,19 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
             val_loss = _epoch_pass(params, model_cfg, va_images, va_masks,
                                    va_rows, np.arange(len(va_images)),
                                    train_cfg.batch_size)
+            improved = state.best_val is None or val_loss < state.best_val
             lr_after = plateau_scheduler(state, val_loss, train_cfg)
             state.epoch = epoch
             wall = time.perf_counter() - t0
-            row = {"epoch": epoch, "train_loss": train_loss,
-                   "val_loss": val_loss, "lr": lr_after, "wall_time": wall}
-            history.append(row)
+            history.append({"epoch": epoch, "train_loss": train_loss,
+                            "val_loss": val_loss, "lr": lr_after, "wall_time": wall})
             writer.writerow([epoch, f"{train_loss:.8f}", f"{val_loss:.8f}",
                              f"{lr_after:.3e}", f"{wall:.3f}"])
             log_fh.flush()
-            if val_loss < best_val:
-                best_val = val_loss
+            if improved:
                 save_checkpoint(best_path, params, model_cfg)
-            state.checkpoint_crc = save_checkpoint(last_path, params, model_cfg)
-            save_train_state(last_path + ".state", state, params)
+            save_checkpoint(last_path, params, model_cfg)
+            save_train_state(last_path + ".state", state, params, model_cfg)
     if not Path(best_path).exists():
         save_checkpoint(best_path, params, model_cfg)
     return TrainResult(best_path, last_path, log_path, history,
@@ -480,25 +470,26 @@ def evaluate(checkpoint, entries: Sequence[ManifestEntry], base_dir,
     return rows, summary
 
 
-# ---- optimizer state persistence ---------------------------------------------
+# ---- train state persistence -------------------------------------------------
 
 
-def save_train_state(path, state: TrainState, params: dict[str, Tensor]) -> None:
+def save_train_state(path, state: TrainState, params: dict[str, Tensor],
+                     config: ModelConfig) -> None:
     meta = {
         "epoch": state.epoch,
         "step": state.step,
         "lr": state.lr,
         "best_val": state.best_val,
         "bad_epochs": state.bad_epochs,
-        "rng_state": state.rng.bit_generator.state if state.rng is not None else None,
-        "checkpoint_crc32": state.checkpoint_crc,
+        "rng_state": state.rng.bit_generator.state,
+        "model": asdict(config),
     }
     records = []
     for name, p in params.items():
-        zeros = np.zeros_like(p.data)
+        # flat byte views of (p, m, v), not copies
         records.append((name, [np.ascontiguousarray(a, dtype="<f4").reshape(-1)
-                               .view(np.uint8) for a in (state.m.get(name, zeros),
-                                                         state.v.get(name, zeros))]))
+                               .view(np.uint8)
+                               for a in (p.data, state.m[name], state.v[name])]))
     write_blob(path, STATE_MAGIC, STATE_VERSION, meta, records)
 
 
@@ -511,47 +502,58 @@ def _is_number(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-# the checks of the train-state header's values; a file written before the
-# CRC was recorded has no checkpoint_crc32 key
+# the checks of the train-state header's values; ``model`` must also make a
+# valid ModelConfig
 _STATE_HEADER = {
     "epoch": _is_count,
     "step": _is_count,
     "lr": lambda v: _is_number(v) and v > 0,
     "best_val": lambda v: v is None or _is_number(v),
     "bad_epochs": _is_count,
-    "checkpoint_crc32": lambda v: v is None or _is_count(v) and v < 2 ** 32,
+    "model": lambda v: isinstance(v, dict),
 }
 
 
-def load_train_state(path, params: dict[str, Tensor]) -> TrainState:
+def load_train_state(path, config: ModelConfig
+                     ) -> tuple[dict[str, Tensor], TrainState]:
+    """A run's parameters and state; another model config is a ConfigError."""
     r = BlobReader(path, STATE_MAGIC, STATE_VERSION)
     meta = r.json()
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: train-state header is not a JSON object")
     for key, ok in _STATE_HEADER.items():
-        if key not in meta and key != "checkpoint_crc32":
+        if key not in meta:
             raise DataFormatError(f"{path}: train-state header has no '{key}'")
-        if not ok(meta.get(key)):
+        if not ok(meta[key]):
             raise DataFormatError(f"{path}: bad train-state header value "
                                   f"{key} = {meta[key]!r}")
+    try:
+        saved = ModelConfig(**meta["model"])
+    except (TypeError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: bad train-state header value "
+                              f"model: {exc}") from None
+    if saved != config:
+        raise ConfigError(f"{path}: saved by a run with a different model config")
     state = TrainState(epoch=meta["epoch"], step=meta["step"], lr=meta["lr"],
                        best_val=meta["best_val"], bad_epochs=meta["bad_epochs"],
-                       checkpoint_crc=meta.get("checkpoint_crc32"),
                        rng=np.random.default_rng(0))
     try:
         state.rng.bit_generator.state = meta["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: bad train-state header value "
                               f"rng_state: {exc!r}") from None
+    shapes = {name: shape for name, shape, _ in parameter_specs(config)}
+    params: dict[str, Tensor] = {}
     (count,) = r.unpack("<I")
     for _ in range(count):
         name = r.name()
-        if name not in params:
-            raise DataFormatError(f"{path}: moments for unknown parameter '{name}'")
-        state.m[name] = r.floats(params[name].shape).copy()
-        state.v[name] = r.floats(params[name].shape).copy()
+        if name not in shapes or name in params:
+            raise DataFormatError(f"{path}: unexpected record for parameter '{name}'")
+        p, state.m[name], state.v[name] = (
+            a.copy() for a in r.floats((3, *shapes[name])))
+        params[name] = Tensor(p, requires_grad=True)
     r.finish()
-    missing = [name for name in params if name not in state.m]
+    missing = [name for name in shapes if name not in params]
     if missing:
-        raise DataFormatError(f"{path}: no moments for parameter '{missing[0]}'")
-    return state
+        raise DataFormatError(f"{path}: no record for parameter '{missing[0]}'")
+    return params, state

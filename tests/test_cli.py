@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 import warnings
-import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from wmhseg.phantom import ManifestEntry, write_manifest
 from wmhseg.tensor import Tensor, no_grad
 
 from conftest import child_env, edit_json_header
-from test_training import plain_loop_mask
+from test_training import plain_loop_mask, run_outputs
 
 MISSING = object()  # a header key that is absent
 
@@ -312,58 +311,22 @@ class TestTrainCommand:
             rows = list(csv.DictReader(fh))
         assert [int(r["epoch"]) for r in rows] == [1, 2]
 
-    def test_torn_checkpoint_state_pair_refused(self, dataset, tmp_path,
-                                                capsys, monkeypatch):
-        args = ["train", "--manifest", str(dataset / "manifest.csv"),
-                "--out", str(tmp_path / "r"), "--model", "tiny",
-                "--epochs", "1", "--batch-size", "8", "--seed", "6"]
-        last = tmp_path / "r" / "last.ckpt"
-        assert main(args) == EXIT_OK
-        state_before = (tmp_path / "r" / "last.ckpt.state").read_bytes()
-        ckpt_before = last.read_bytes()
-
-        def crash(*a, **k):
-            raise OSError("simulated crash before the state write")
-        # the run dies between the checkpoint write and the state write
-        monkeypatch.setattr(training, "save_train_state", crash)
-        assert main(args + ["--resume", str(last)]) == EXIT_DATA
-        monkeypatch.undo()
-        assert last.read_bytes() != ckpt_before
-        assert (tmp_path / "r" / "last.ckpt.state").read_bytes() == state_before
-        capsys.readouterr()
-
-        code = main(args + ["--resume", str(last)])
-        assert_one_line_data_error(code, capsys, "last.ckpt.state", "torn")
-
-    def test_state_without_crc_resumes(self, dataset, tmp_path):
-        # a state file written before the CRC was recorded pairs with any
-        # checkpoint, as it did then
-        args = ["train", "--manifest", str(dataset / "manifest.csv"),
-                "--out", str(tmp_path / "r"), "--model", "tiny",
-                "--epochs", "1", "--batch-size", "8", "--seed", "6"]
-        assert main(args) == EXIT_OK
-        path = tmp_path / "r" / "last.ckpt.state"
-        crcs = []
-        path.write_bytes(edit_json_header(
-            path.read_bytes(), lambda h: crcs.append(h.pop("checkpoint_crc32"))))
-        assert isinstance(crcs[0], int)
-        assert main(args + ["--resume", str(tmp_path / "r" / "last.ckpt")]) \
-            == EXIT_OK
-
     @pytest.mark.parametrize("key,value", [
         ("epoch", "x"), ("epoch", 1.5), ("epoch", -5), ("step", "x"),
         ("step", -1), ("step", 10 ** 400), ("best_val", "x"),
         ("best_val", float("inf")), ("best_val", 10 ** 400),
         ("lr", "abc"), ("lr", float("nan")), ("lr", -1.0), ("lr", 0.0),
-        ("bad_epochs", "x"), ("bad_epochs", True), ("checkpoint_crc32", -1),
-        ("checkpoint_crc32", 2 ** 32), ("rng_state", None), ("rng_state", {}),
-        ("epoch", MISSING),
+        ("bad_epochs", "x"), ("bad_epochs", True), ("rng_state", None),
+        ("rng_state", {}), ("epoch", MISSING), ("model", MISSING),
+        ("model", 5), ("model", {"stage_channels": [8, 8, 8]}),
+        ("model", {"stage_depths": [1, 1, 1, 1], "unknown": 1}),
+        ("model", {"normalization_scope": "patient"}),
     ])
     def test_damaged_state_header_data_error(self, checkpoint, dataset,
                                              tmp_path, capsys, key, value):
+        # the resume reads the state alone: no checkpoint sits beside it
         run = checkpoint.parent
         resume = tmp_path / "last.ckpt"
-        shutil.copy(run / "last.ckpt", resume)
 
         def damage(header):
             header.pop(key)
@@ -897,6 +860,45 @@ def interrupt_when(ready, args: list[str], timeout: float = 120):
     return proc.returncode, err.strip().splitlines()
 
 
+# runs ``wmhseg`` and sends itself SIGKILL at the point that its first two
+# arguments name: just before the n-th ``os.replace`` ("replace n"), or at
+# the first Adam step once epoch n is saved ("step n")
+KILLED = """
+import os, signal, sys
+import wmhseg.training as training
+point, n = sys.argv[1], int(sys.argv[2])
+replace, step, replaced = os.replace, training.adam_step, []
+
+def counted(src, dst):
+    replaced.append(dst)
+    if len(replaced) == n:
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+def stepped(params, grads, state):
+    if state.epoch == n:
+        os.kill(os.getpid(), signal.SIGKILL)
+    step(params, grads, state)
+
+if point == "replace":
+    os.replace = counted
+else:
+    training.adam_step = stepped
+from wmhseg.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def killed_at(point: str, n: int, args: list[str], timeout: float = 120):
+    """(exit code, stderr lines) of ``wmhseg args`` run in a child on one
+    BLAS thread until it kills itself at ``point`` ``n`` (see KILLED)."""
+    proc = subprocess.run([sys.executable, "-c", KILLED, point, str(n), *args],
+                          env=child_env(OPENBLAS_NUM_THREADS="1"),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=timeout)
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
 class TestInterrupt:
     def test_phantom_leaves_no_partial_file_and_no_manifest(self, tmp_path):
         out = tmp_path / "ds"
@@ -908,26 +910,45 @@ class TestInterrupt:
         assert "manifest.csv" not in names
         assert not [n for n in names if n.endswith(".tmp")], names
 
-    def test_train_resumes_or_refuses_a_torn_pair(self, dataset, tmp_path,
-                                                  capsys):
-        run = tmp_path / "run"
-        last, state = run / "last.ckpt", run / "last.ckpt.state"
+    def test_train_killed_at_any_save_resumes_byte_identical(
+            self, dataset, tmp_path, capsys, monkeypatch):
         args = ["train", "--manifest", str(dataset / "manifest.csv"),
-                "--out", str(run), "--model", "tiny", "--batch-size", "8",
-                "--seed", "2"]
-        # the first epoch's log row and pair are written: the interrupt
-        # lands in a later epoch or its writes
-        code, err = interrupt_when(state.exists, args + ["--epochs", "200"])
-        assert code == EXIT_INTERRUPTED, err
-        assert err == ["error: train interrupted"]
-        params, _ = load_checkpoint(last)
-        paired = training.load_train_state(str(state), params) \
-            .checkpoint_crc == zlib.crc32(last.read_bytes())
-        code = main(args + ["--epochs", "1", "--resume", str(last)])
-        if paired:
-            assert code == EXIT_OK
-        else:  # interrupted between the checkpoint and its state
-            assert_one_line_data_error(code, capsys, str(state), "torn save")
+                "--model", "tiny", "--batch-size", "8", "--seed", "2"]
+        whole = tmp_path / "whole"
+        replaced, replace = [], os.replace
+
+        def record(src, dst):
+            replaced.append(Path(dst).name)
+            replace(src, dst)
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", record)
+            assert main(args + ["--out", str(whole), "--epochs", "2"]) == EXIT_OK
+        # the log's start, then per epoch best.ckpt (if it improved),
+        # last.ckpt and its state
+        assert replaced[-2:] == ["last.ckpt", "last.ckpt.state"], replaced
+        first_state = replaced.index("last.ckpt.state") + 1
+        points = [("replace", n) for n in range(1, len(replaced) + 1)]
+        for point, n in points + [("step", 1)]:
+            run = tmp_path / f"{point}{n}"
+            code, err = killed_at(point, n, args + ["--out", str(run),
+                                                    "--epochs", "2"])
+            assert code == -signal.SIGKILL, (point, n, err)
+            capsys.readouterr()
+            code = main(args + ["--out", str(run), "--epochs", "1",
+                                "--resume", str(run / "last.ckpt")])
+            if point == "replace" and n <= first_state:
+                # no state was saved yet: the run starts over
+                assert_one_line_data_error(code, capsys,
+                                           str(run / "last.ckpt.state"))
+                continue
+            assert code == EXIT_OK, (point, n)
+            # the kill leaves the temporary file of the write it cut short
+            stray = [p.name for p in run.glob(".*.tmp")]
+            assert len(stray) == (point == "replace"), (point, n, stray)
+            assert sorted(p.name for p in run.iterdir()
+                          if p.name not in stray) == \
+                ["best.ckpt", "last.ckpt", "last.ckpt.state", "train_log.csv"]
+            assert run_outputs(run) == run_outputs(whole), (point, n)
 
 
 class TestUsage:

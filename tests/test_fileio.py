@@ -50,10 +50,11 @@ def _writers():
 
     def train_state(path, version):
         params = init_parameters(cfg, 0)
-        state = TrainState(epoch=version, step=10 * version, lr=1e-3,
-                           m={k: np.full(p.shape, version, np.float32)
-                              for k, p in params.items()})
-        save_train_state(path, state, params)
+        m, v = ({k: np.full(p.shape, version, np.float32)
+                 for k, p in params.items()} for _ in range(2))
+        state = TrainState(epoch=version, step=10 * version, lr=1e-3, m=m, v=v,
+                           rng=np.random.default_rng(version))
+        save_train_state(path, state, params, cfg)
 
     def manifest(path, version):
         write_manifest(path, [ManifestEntry(f"p{i}.nii", "clean", version, f"p{i}")

@@ -643,13 +643,11 @@ class TestCheckpoint:
         save_checkpoint(path2, loaded, cfg2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_scope_recorded_and_crc_returned(self, tmp_path):
-        import zlib
+    def test_scope_recorded(self, tmp_path):
         from dataclasses import replace
         cfg = replace(ModelConfig.tiny(), normalization_scope="volume")
         path = tmp_path / "m.ckpt"
-        crc = save_checkpoint(path, init_parameters(cfg, 0), cfg)
-        assert crc == zlib.crc32(path.read_bytes())
+        save_checkpoint(path, init_parameters(cfg, 0), cfg)
         assert load_checkpoint(path)[1].normalization_scope == "volume"
 
     def test_header_without_scope_loads_as_slice(self, tmp_path):

@@ -1,7 +1,9 @@
-"""Damaged train-state headers through ``wmhseg train --resume``: a documented
-exit code and at most one stderr line, never a traceback."""
+"""Damaged train states through ``wmhseg train --resume``: a documented exit
+code and at most one stderr line, never a traceback. The resume reads the
+state alone, so no checkpoint is put beside it."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import struct
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmhseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from wmhseg.model import ModelConfig
 from wmhseg.phantom import PhantomConfig, generate_dataset
 
 from conftest import edit_json_header
@@ -42,12 +45,11 @@ def files(tmp_path_factory):
     return root
 
 
-def resume_damaged(root, blob: bytes) -> None:
-    """Resume from the run's checkpoint paired with ``blob`` as its state;
-    check the exit and stderr. Runs write into a directory of their own."""
+def resume_damaged(root, blob: bytes) -> tuple[int, list[str]]:
+    """Resume from ``blob`` as the run's state; check the exit and stderr,
+    and return both. Runs write into a directory of their own."""
     work = root / "work"
     work.mkdir(exist_ok=True)
-    (work / "last.ckpt").write_bytes((root / "run" / "last.ckpt").read_bytes())
     (work / "last.ckpt.state").write_bytes(blob)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
@@ -59,6 +61,7 @@ def resume_damaged(root, blob: bytes) -> None:
     lines = err.getvalue().strip().splitlines() + [str(w.message) for w in caught]
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC), (code, lines)
     assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines
+    return code, lines
 
 
 def state_blob(root) -> bytes:
@@ -105,3 +108,53 @@ def test_header_byte_flipped(files, data):
     off = data.draw(st.integers(12, 12 + n - 1), label="offset")
     blob[off] ^= data.draw(st.integers(1, 255), label="xor")
     resume_damaged(files, bytes(blob))
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_field_replaced_or_dropped(files, data):
+    blob = state_blob(files)
+    key = data.draw(st.sampled_from([f.name for f in
+                                     dataclasses.fields(ModelConfig)]), label="key")
+    value = data.draw(JSON_VALUES, label="value")
+
+    def edit(header):
+        if value is None:  # dropped
+            del header["model"][key]
+        else:
+            header["model"][key] = value
+    resume_damaged(files, edit_json_header(blob, edit))
+
+
+@pytest.mark.parametrize("preset", [ModelConfig.reduced(), ModelConfig(),
+                                    ModelConfig.tiny()], ids=["reduced",
+                                                              "default",
+                                                              "tiny"])
+@pytest.mark.parametrize("scope", ["slice", "volume"])
+def test_model_set_to_another_valid_config_usage_error(files, preset, scope):
+    model = dict(dataclasses.asdict(preset), normalization_scope=scope)
+    code, lines = resume_damaged(files, edit_json_header(
+        state_blob(files), lambda h: h.update(model=model)))
+    if (preset, scope) == (ModelConfig.tiny(), "slice"):
+        assert code == EXIT_OK, lines  # the run's own config
+    else:
+        assert code == EXIT_USAGE and "different model config" in lines[0], lines
+
+
+@FUZZ
+@given(data=st.data())
+def test_payload_byte_flipped(files, data):
+    blob = bytearray(state_blob(files))
+    (n,) = struct.unpack_from("<I", blob, 8)
+    for _ in range(data.draw(st.integers(1, 3), label="flips")):
+        off = data.draw(st.integers(12 + n, len(blob) - 1), label="offset")
+        blob[off] ^= data.draw(st.integers(1, 255), label="xor")
+    resume_damaged(files, bytes(blob))
+
+
+def test_version_1_state_data_error(files):
+    blob = state_blob(files)
+    code, lines = resume_damaged(files, blob[:4] + struct.pack("<I", 1) + blob[8:])
+    assert code == EXIT_DATA
+    assert lines == [f"error: {files / 'work' / 'last.ckpt.state'}: "
+                     "unsupported format version 1"], lines

@@ -351,33 +351,46 @@ def run_outputs(run_dir):
     return rows, {name: (run_dir / name).read_bytes() for name in files}
 
 
+def tiny_state(path, params=None, cfg=ModelConfig.tiny()):
+    """Save a tiny-model train state with zero moments at ``path``."""
+    params = init_parameters(cfg, 0) if params is None else params
+    m, v = ({k: np.zeros_like(p.data) for k, p in params.items()}
+            for _ in range(2))
+    save_train_state(path, TrainState(lr=1e-3, m=m, v=v,
+                                      rng=np.random.default_rng(1)),
+                     params, cfg)
+    return params
+
+
 class TestTrainStatePersistence:
     def test_roundtrip(self, tmp_path, rng):
-        params = init_parameters(ModelConfig.tiny(), 0)
+        cfg = ModelConfig.tiny()
+        params = init_parameters(cfg, 0)
         state = TrainState(epoch=3, step=17, lr=2e-4, best_val=0.5,
                            bad_epochs=1, rng=np.random.default_rng(42))
         state.rng.standard_normal(10)  # advance
-        state.checkpoint_crc = 0xDEADBEEF
         for k, p in params.items():
             state.m[k] = rng.standard_normal(p.shape).astype(np.float32)
             state.v[k] = np.abs(rng.standard_normal(p.shape)).astype(np.float32)
         path = tmp_path / "run.state"
-        save_train_state(path, state, params)
-        back = load_train_state(path, params)
+        save_train_state(path, state, params, cfg)
+        back_params, back = load_train_state(path, cfg)
         assert (back.epoch, back.step, back.lr, back.best_val,
-                back.bad_epochs, back.checkpoint_crc) == \
-            (3, 17, 2e-4, 0.5, 1, 0xDEADBEEF)
+                back.bad_epochs) == (3, 17, 2e-4, 0.5, 1)
+        assert list(back_params) == list(params)
         for k in params:
+            np.testing.assert_array_equal(back_params[k].data, params[k].data)
             np.testing.assert_array_equal(back.m[k], state.m[k])
             np.testing.assert_array_equal(back.v[k], state.v[k])
+        again = tmp_path / "again.state"
+        save_train_state(again, back, back_params, cfg)
+        assert again.read_bytes() == path.read_bytes()
         np.testing.assert_array_equal(back.rng.standard_normal(5),
                                       state.rng.standard_normal(5))
 
     def test_corrupt_files_rejected_naming_file(self, tmp_path):
-        params = init_parameters(ModelConfig.tiny(), 0)
         path = tmp_path / "run.state"
-        save_train_state(path, TrainState(lr=1e-3, rng=np.random.default_rng(1)),
-                         params)
+        tiny_state(path)
         blob = path.read_bytes()
         meta_len = int.from_bytes(blob[8:12], "little")
         bad_json = bytearray(blob)
@@ -389,19 +402,43 @@ class TestTrainStatePersistence:
             bad = tmp_path / f"bad{i}.state"
             bad.write_bytes(data)
             with pytest.raises(DataFormatError, match=f"bad{i}.state"):
-                load_train_state(bad, params)
-        with pytest.raises(DataFormatError, match="unknown parameter"):
-            load_train_state(path, {k: p for k, p in list(params.items())[1:]})
+                load_train_state(bad, ModelConfig.tiny())
+
+    def test_record_for_unknown_parameter_rejected(self, tmp_path):
+        path = tmp_path / "run.state"
+        params = init_parameters(ModelConfig.tiny(), 0)
+        params["stage1.extra"] = params["stage1.embed.weight"]
+        tiny_state(path, params)
+        with pytest.raises(DataFormatError, match="run.state: unexpected record "
+                                                  "for parameter 'stage1.extra'"):
+            load_train_state(path, ModelConfig.tiny())
 
     def test_state_without_a_parameters_moments_rejected(self, tmp_path):
-        params = init_parameters(ModelConfig.tiny(), 0)
         path = tmp_path / "run.state"
         dropped = "stage2.block0.attn.k_weight"
-        save_train_state(path, TrainState(lr=1e-3, rng=np.random.default_rng(1)),
-                         {k: p for k, p in params.items() if k != dropped})
+        tiny_state(path, {k: p for k, p in init_parameters(ModelConfig.tiny(), 0)
+                          .items() if k != dropped})
         with pytest.raises(DataFormatError,
-                           match=f"run.state: no moments for parameter '{dropped}'"):
-            load_train_state(path, params)
+                           match=f"run.state: no record for parameter '{dropped}'"):
+            load_train_state(path, ModelConfig.tiny())
+
+    def test_repeated_record_rejected(self, tmp_path):
+        # the second copy would silently replace the first
+        path = tmp_path / "run.state"
+        params = tiny_state(path)
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        at = 12 + n  # the u32 record count
+        name = next(iter(params))
+        size = 2 + len(name) + 3 * 4 * params[name].data.size
+        first = blob[at + 4:at + 4 + size]
+        assert first[2:2 + len(name)] == name.encode()
+        count = int.from_bytes(blob[at:at + 4], "little") + 1
+        path.write_bytes(blob[:at] + count.to_bytes(4, "little") + first
+                         + blob[at + 4:])
+        with pytest.raises(DataFormatError, match="run.state: unexpected record "
+                                                  f"for parameter '{name}'"):
+            load_train_state(path, ModelConfig.tiny())
 
 
 class TestInferVolume:

@@ -187,17 +187,20 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .phantom import manifest_dir, read_manifest
-    from .training import check_split_ratio, evaluate, split_dataset
+    from .training import (TrainConfig, check_split_ratio, evaluate,
+                           split_dataset)
+    # unless given, the split is the one a default train run makes
+    default = TrainConfig()
+    ratio = default.split_ratio if args.split_ratio is None else args.split_ratio
+    seed = default.seed if args.split_seed is None else args.split_seed
     _echo("evaluate", {"checkpoint": args.checkpoint, "manifest": args.manifest,
                        "out": args.out, "split": args.split,
-                       "split_seed": args.split_seed,
-                       "split_ratio": args.split_ratio})
+                       "split_seed": seed, "split_ratio": ratio})
     # checked whatever the split, so a bad value never passes unnoticed
-    check_split_ratio(args.split_ratio)
+    check_split_ratio(ratio)
     entries = read_manifest(args.manifest)
     if args.split != "all":
-        train_src, test_src = split_dataset(entries, args.split_ratio,
-                                            args.split_seed)
+        train_src, test_src = split_dataset(entries, ratio, seed)
         keep = set(train_src if args.split == "train" else test_src)
         entries = [e for e in entries if e.source_id in keep]
     metrics, summary = evaluate(args.checkpoint, entries,
@@ -267,8 +270,10 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--split-ratio", type=float, default=0.8)
+    p.add_argument("--split-seed", type=int, default=None,
+                   help="default: the seed of a default train run")
+    p.add_argument("--split-ratio", type=float, default=None,
+                   help="default: the split_ratio of a default train run")
     p.add_argument("--per-slice", action="store_true")
     p.set_defaults(func=cmd_evaluate)
     return parser

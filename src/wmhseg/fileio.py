@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import uuid
 from pathlib import Path
+
+# atomic_write's temporary file for <dir>/<name>: <dir>/.<name>.<12 hex>.tmp
+_TMP_HEX = 12
 
 
 @contextlib.contextmanager
@@ -22,7 +26,7 @@ def atomic_write(path):
     file-size limit) is raised again naming ``path``.
     """
     head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:12]}.tmp")
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex[:_TMP_HEX]}.tmp")
     try:
         with open(tmp, "xb") as fh:
             yield fh
@@ -36,6 +40,18 @@ def atomic_write(path):
                 and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+def remove_temporaries(path) -> None:
+    """Delete the temporary files that ``atomic_write(path)`` left behind in
+    a process that was killed (SIGKILL) before its block exited. A process
+    writing ``path`` at the same time would lose its temporary file."""
+    head, tail = os.path.split(os.fspath(path))
+    stale = re.compile(rf"\.{re.escape(tail)}\.[0-9a-f]{{{_TMP_HEX}}}\.tmp")
+    for name in os.listdir(head or "."):
+        if stale.fullmatch(name):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(head, name))
 
 
 def read_key_values(path, error) -> dict[str, tuple[int, str]]:

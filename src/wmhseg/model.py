@@ -193,10 +193,6 @@ def parameter_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
     return specs
 
 
-def parameter_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in parameter_specs(config))
-
-
 def init_parameters(config: ModelConfig, seed: int,
                     dtype=np.float32) -> dict[str, Tensor]:
     """Deterministic parameter initialization for a given seed."""

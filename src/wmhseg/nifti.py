@@ -233,23 +233,20 @@ def write_nifti(vol: Volume, path) -> None:
 
 def _write_voxels(fh, header: bytes, data: np.ndarray) -> None:
     """The header, then the float32 voxels x fastest, in blocks of at most
-    ``_Z_BLOCK`` z-slices (no full-volume copy). A block of a Fortran-order
-    float32 volume is already in file order and goes as a view; any other
-    is gathered into one bounded buffer ``_X_TILE`` x-columns at a time, so
-    a C-order volume's z-runs are read while their cache lines are warm,
-    not once per slice. Each block goes as a flat byte view: its len() is
-    its byte count, which is what a raw file's write() reports."""
+    ``_Z_BLOCK`` z-slices (no full-volume copy). Each block is gathered
+    into one bounded buffer ``_X_TILE`` x-columns at a time, so a C-order
+    volume's z-runs are read while their cache lines are warm, not once per
+    slice. Each block goes as a flat byte view: its len() is its byte
+    count, which is what a raw file's write() reports."""
     fh.write(header)
     nx, ny, nz = data.shape
     buf = np.empty((min(nz, _Z_BLOCK), ny, nx), dtype=np.float32)
     for z0 in range(0, nz, _Z_BLOCK):
         block = data[:, :, z0:z0 + _Z_BLOCK].transpose(2, 1, 0)
-        if not (block.flags.c_contiguous and block.dtype == np.float32):
-            out = buf[:block.shape[0]]
-            for x0 in range(0, nx, _X_TILE):
-                out[:, :, x0:x0 + _X_TILE] = block[:, :, x0:x0 + _X_TILE]
-            block = out
-        fh.write(block.reshape(-1).view(np.uint8))
+        out = buf[:block.shape[0]]
+        for x0 in range(0, nx, _X_TILE):
+            out[:, :, x0:x0 + _X_TILE] = block[:, :, x0:x0 + _X_TILE]
+        fh.write(out.reshape(-1).view(np.uint8))
 
 
 def _crop_pad_bounds(extent: int, target: int) -> tuple[slice, slice]:

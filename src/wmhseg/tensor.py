@@ -136,11 +136,11 @@ class _Node:
 class Tensor:
     """N-dimensional array with optional gradient tracking.
 
-    ``grad``, ``_backward`` and ``_parents`` (parent nodes) live on the
-    tensor's graph node; the first two can also be set through the tensor.
+    ``grad`` and ``_backward`` live on the tensor's graph node and can be
+    set through the tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "_op", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         # float32/float64 numpy inputs keep their precision; anything else
@@ -150,7 +150,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
-        self._op = "leaf"
         self._node = _Node(arr.dtype)
 
     # ---- bookkeeping ----------------------------------------------------
@@ -170,10 +169,6 @@ class Tensor:
     @_backward.setter
     def _backward(self, fn: Optional[Callable[[], None]]) -> None:
         self._node.backward = fn
-
-    @property
-    def _parents(self) -> tuple[_Node, ...]:
-        return self._node.parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -196,11 +191,8 @@ class Tensor:
             raise UsageError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
     # ---- backward -------------------------------------------------------
 
@@ -288,8 +280,6 @@ class Tensor:
     # ---- shape ops ------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         out = _make(np.ascontiguousarray(self.data).reshape(shape), (self,),
                     "reshape", check=False)
@@ -302,8 +292,6 @@ class Tensor:
         return out
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = tuple(np.argsort(axes))
         out = _make(self.data.transpose(axes), (self,), "transpose", check=False)
         if out.requires_grad:
@@ -336,7 +324,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], op: str,
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out._op = op
     out._node = _Node(data.dtype)
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -920,8 +907,6 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = list(tensors)
-    if not ts:
-        raise UsageError("concat of empty sequence")
     data = np.concatenate([t.data for t in ts], axis=axis)
     out = _make(data, tuple(ts), "concat", check=False)
     if out.requires_grad:

@@ -14,12 +14,14 @@ images' bytes (a quarter when training on clean scans only). A batch's
 masks are gathered and made float32 when the batch is taken.
 
 Checkpoints use the model container, whose config records the training
-normalization scope that inference follows. A resume reads only the sibling
-``.state`` file (magic ``WMHT``), which holds the model config, each
-parameter's values and Adam moments, the scheduler counters and the
-shuffling RNG state. Each file is replaced atomically and the state is
-written last, so a crash between the writes leaves the previous epoch's
-state, and resuming from it repeats that epoch to the same bytes.
+normalization scope that inference follows. A resume reads two files: the
+checkpoint's sibling ``.state`` file (magic ``WMHT``), which holds the model
+config, each parameter's values and Adam moments, the scheduler counters and
+the shuffling RNG state; and the output directory's ``train_log.csv``, whose
+rows up to the saved epoch are kept (in a fresh directory, the header alone).
+Each file is replaced atomically and the state is written last, so a crash
+between the writes leaves the previous epoch's state, and resuming from it
+repeats that epoch to the same bytes.
 
 Threads share the parameter arrays read-only. Training, validation and
 inference shards run on the package's one pool
@@ -46,7 +48,7 @@ from . import blas
 from . import tensor as T
 from .artifacts import KINDS
 from .errors import ConfigError, DataFormatError, NumericsError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, remove_temporaries
 from .losses import combined_loss
 from .metrics import SegMetrics, dice_score, lesion_volume, write_metrics_csv
 from .model import (BlobReader, ModelConfig, init_parameters, load_checkpoint,
@@ -195,9 +197,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for path, p in params.items():
-        g = grads.get(path)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[path]
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter '{path}'")
         if path not in state.m:
@@ -304,10 +304,7 @@ def _epoch_pass(params, model_cfg, images, masks, rows, order, batch_size,
             with T.no_grad():
                 blas.run_parallel(forward, len(shards))
                 loss = combined_loss(T.concat(outs), y).total
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericsError(f"loss became non-finite ({value})")
-        total += value * len(idx)
+        total += loss.item() * len(idx)
         count += len(idx)
     return total / max(count, 1)
 
@@ -355,6 +352,9 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, manifest,
     best_path = str(out / "best.ckpt")
     last_path = str(out / "last.ckpt")
     log_path = str(out / "train_log.csv")
+    # a run killed mid-save left its temporary file next to the output
+    for path in (best_path, last_path, last_path + ".state", log_path):
+        remove_temporaries(path)
 
     if resume is not None:
         params, state = load_train_state(str(resume) + ".state", model_cfg)

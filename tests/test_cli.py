@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from wmhseg.cli import (EXIT_DATA, EXIT_INTERRUPTED, EXIT_MEMORY,
 from wmhseg.metrics import dice_score
 from wmhseg.model import load_checkpoint, model_forward, save_checkpoint
 from wmhseg.nifti import make_slice_batch, read_nifti, write_nifti
-from wmhseg.phantom import ManifestEntry, write_manifest
+from wmhseg.phantom import ManifestEntry, read_manifest, write_manifest
 from wmhseg.tensor import Tensor, no_grad
 
 from conftest import child_env, edit_json_header
@@ -273,11 +273,14 @@ class TestTrainCommand:
     def test_smoke_exit_zero(self, checkpoint):
         assert checkpoint.exists()
 
-    def test_zero_epochs_rejected(self, dataset, tmp_path):
+    @pytest.mark.parametrize("flag,name", [("--epochs", "epochs"),
+                                           ("--batch-size", "batch_size")])
+    def test_zero_count_rejected(self, dataset, tmp_path, capsys, flag, name):
         code = main(["train", "--manifest", str(dataset / "manifest.csv"),
-                     "--out", str(tmp_path), "--model", "tiny",
-                     "--epochs", "0"])
+                     "--out", str(tmp_path), "--model", "tiny", flag, "0"])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == \
+            [f"error: {name} must be >= 1, got 0"]
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_rejected(self, dataset, tmp_path, capsys, lr):
@@ -555,6 +558,32 @@ class TestEvaluateCommand:
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5  # 1 held-out source x 5 volumes
+
+    def test_split_defaults_follow_train_config(self, dataset, checkpoint,
+                                                tmp_path, capsys, monkeypatch):
+        # without the flags, --split test scores the sources that a train
+        # run at TrainConfig's defaults holds out, whatever those defaults are
+        @dataclass(frozen=True)
+        class Defaults(training.TrainConfig):
+            split_ratio: float = 0.3
+            seed: int = 7
+        monkeypatch.setattr(training, "TrainConfig", Defaults)
+        out_csv = tmp_path / "m.csv"
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(out_csv), "--split", "test"])
+        assert code == EXIT_OK
+        echo = capsys.readouterr().out
+        assert "config evaluate: split_ratio=0.3\n" in echo
+        assert "config evaluate: split_seed=7\n" in echo
+        _, test_src = training.split_dataset(
+            read_manifest(dataset / "manifest.csv"), 0.3, 7)
+        assert len(test_src) == 2  # the 0.8 default holds out one of 3
+        with open(out_csv) as fh:
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        assert len(ids) == 5 * len(test_src)
+        assert {i.split("_")[0].removesuffix(".nii") for i in ids} == \
+            set(test_src)
 
     def test_image_mask_shape_mismatch_data_error(self, dataset, checkpoint,
                                                   tmp_path, capsys, monkeypatch):
@@ -942,18 +971,61 @@ class TestInterrupt:
                                            str(run / "last.ckpt.state"))
                 continue
             assert code == EXIT_OK, (point, n)
-            # the kill leaves the temporary file of the write it cut short
-            stray = [p.name for p in run.glob(".*.tmp")]
-            assert len(stray) == (point == "replace"), (point, n, stray)
-            assert sorted(p.name for p in run.iterdir()
-                          if p.name not in stray) == \
+            # the resume deletes the temporary file of the write that the
+            # kill cut short
+            assert sorted(p.name for p in run.iterdir()) == \
                 ["best.ckpt", "last.ckpt", "last.ckpt.state", "train_log.csv"]
             assert run_outputs(run) == run_outputs(whole), (point, n)
+
+    def test_fresh_run_deletes_stale_temporaries(self, dataset, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        names = ["best.ckpt", "last.ckpt", "last.ckpt.state", "train_log.csv"]
+        for name in names:
+            (run / f".{name}.0123456789ab.tmp").write_bytes(b"partial")
+        (run / ".notes.txt.0123456789ab.tmp").write_bytes(b"not ours")
+        assert main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(run), "--model", "tiny", "--epochs", "1",
+                     "--batch-size", "8"]) == EXIT_OK
+        assert sorted(p.name for p in run.iterdir()) == \
+            [".notes.txt.0123456789ab.tmp"] + names
 
 
 class TestUsage:
     def test_unknown_subcommand_exit_one(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_unknown_model_preset_in_config_file(self, dataset, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=huge\n")
+        out = tmp_path / "out"
+        code = main(["train", "--manifest", str(dataset / "manifest.csv"),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == \
+            ["error: unknown model preset 'huge'"]
+        assert not out.exists()
+
+    def test_closed_stdout_exits_zero(self, tmp_path, monkeypatch):
+        # as when the output is piped into a reader that has exited
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["phantom", "-n", "1", "--size", "32,32,3",
+                     "--out", str(tmp_path / "ds")]) == EXIT_OK
+
+    def test_unmapped_exception_propagates(self, tmp_path, monkeypatch):
+        # only the package's errors, ValueError, OSError, MemoryError and
+        # interrupts have exit codes; anything else is a bug to show in full
+        import wmhseg.phantom as phantom
+
+        def broken(*args, **kwargs):
+            raise LookupError("a bug")
+        monkeypatch.setattr(phantom, "generate_dataset", broken)
+        with pytest.raises(LookupError, match="a bug"):
+            main(["phantom", "-n", "1", "--out", str(tmp_path / "ds")])
 
     def test_missing_required_flag_exit_one(self):
         assert main(["segment", "--in", "x.nii", "--out", "y.nii"]) == EXIT_USAGE

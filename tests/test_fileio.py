@@ -98,3 +98,27 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, write):
     with pytest.raises(OSError):
         write(tmp_path / ("new_" + name), 2)
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_error_inside_block_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    raised = ValueError("bad value")
+    with pytest.raises(ValueError) as exc:
+        with fileio.atomic_write(path) as fh:
+            fh.write(b"new")
+            raise raised
+    assert exc.value is raised
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_remove_temporaries_matches_only_the_paths_own(tmp_path):
+    stale = [".last.ckpt.0123456789ab.tmp", ".last.ckpt.ffffffffffff.tmp"]
+    kept = ["last.ckpt", ".last.ckpt.state.0123456789ab.tmp",
+            ".last.ckpt.0123456789a.tmp", ".last.ckpt.0123456789abc.tmp",
+            ".last.ckpt.0123456789AB.tmp", "last.ckpt.0123456789ab.tmp"]
+    for name in stale + kept:
+        (tmp_path / name).write_bytes(b"x")
+    fileio.remove_temporaries(tmp_path / "last.ckpt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept)

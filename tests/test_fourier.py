@@ -62,6 +62,7 @@ def test_small_oracle_sizes(rng):
         assert np.abs(fft2(x) - dft2_oracle(x)).max() < 1e-9
 
 
-def test_rejects_1d():
-    with pytest.raises(ValueError):
-        fft2(np.zeros(8))
+@pytest.mark.parametrize("transform", [fft2, ifft2])
+def test_rejects_1d(transform):
+    with pytest.raises(ValueError, match=">=2D array"):
+        transform(np.zeros(8))

@@ -13,7 +13,7 @@ from wmhseg.losses import combined_loss
 from wmhseg.model import (ModelConfig, PATCH_KERNELS, REDUCTION_FACTORS,
                           decoder_forward, efficient_attention, encoder_forward,
                           init_parameters, load_checkpoint, mix_ffn,
-                          model_forward, overlap_patch_embed, parameter_count,
+                          model_forward, overlap_patch_embed,
                           parameter_specs, save_checkpoint, subparams)
 from wmhseg.metrics import dice_score
 from wmhseg.tensor import FlopCounter, Tensor
@@ -231,12 +231,20 @@ class TestEfficientAttention:
             assert np.abs(sums - 1.0).max() < 1e-6
             assert wts.shape[1] == cfg.num_heads[i]
 
-    def test_r_not_dividing_grid_rejected(self, rng):
+    @pytest.mark.parametrize("n,h,w,reduction,heads,error,match", [
+        (12, 3, 4, 4, 1, ConfigError, "does not divide token grid 3x4"),
+        (12, 4, 4, 1, 1, ShapeError, "token count 12 != 4x4"),
+        (16, 4, 4, 1, 3, ConfigError, "not divisible by 3 heads"),
+        (16, 4, 4, 2, 1, ConfigError, "2 is not a perfect square"),
+    ], ids=["r-not-dividing-grid", "n-not-h-times-w", "heads-not-dividing-c",
+            "r-not-square"])
+    def test_bad_geometry_rejected(self, rng, n, h, w, reduction, heads, error,
+                                   match):
         c = 8
-        tokens = Tensor(cf(rng.standard_normal((1, 12, c)).astype(np.float32)))
-        p = attn_params(c, 4, 1, rng, dtype=np.float32)
-        with pytest.raises(ConfigError):
-            efficient_attention(tokens, 3, 4, p, 4, 1)
+        tokens = Tensor(cf(rng.standard_normal((1, n, c)).astype(np.float32)))
+        p = attn_params(c, reduction, heads, rng, dtype=np.float32)
+        with pytest.raises(error, match=match):
+            efficient_attention(tokens, h, w, p, reduction, heads)
 
     def test_cost_scales_with_reduction(self, rng):
         c, heads = 16, 1
@@ -291,6 +299,12 @@ class TestMixFfn:
         diff = np.abs(out_a - out_b).max(axis=-1)
         assert diff[2, 3] > 1e-6 and diff[5, 4] > 1e-6  # neighbors affected
         assert diff[0, 7] < 1e-7                        # far corner untouched
+
+    def test_token_count_must_match_grid(self):
+        params = init_parameters(ModelConfig.tiny(), 0)
+        tokens = Tensor(np.zeros((1, 8, 12), np.float32))
+        with pytest.raises(ShapeError, match="token count 12 != 4x4"):
+            mix_ffn(tokens, 4, 4, subparams(params, "stage1.block0.ffn"))
 
 
 class TestEncoderDecoder:
@@ -352,13 +366,20 @@ class TestEncoderDecoder:
                         params["decoder.head.bias"]).data
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
-    def test_mismatched_features_rejected(self):
+    @pytest.mark.parametrize("damage,match", [
+        ("wrong-shape", "feature 2 has shape"),
+        ("three-maps", "expects 4 feature maps, got 3"),
+    ])
+    def test_mismatched_features_rejected(self, damage, match):
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 0)
         feats = [Tensor(np.zeros((1, cfg.stage_channels[i]) + cfg.stage_dims(i),
                                  np.float32)) for i in range(4)]
-        feats[2] = Tensor(np.zeros((1, 99, 2, 2), np.float32))
-        with pytest.raises(ShapeError):
+        if damage == "wrong-shape":
+            feats[2] = Tensor(np.zeros((1, 99, 2, 2), np.float32))
+        else:
+            feats = feats[:3]
+        with pytest.raises(ShapeError, match=match):
             decoder_forward(feats, params, cfg)
 
     def test_residual_wiring(self, rng):
@@ -619,12 +640,14 @@ class TestInitParameters:
                 total += cout * (d_in + cfg.stage_channels[si]) * 9 + cout
                 d_in = cout
             total += d_in + 1                              # 1x1 head to 1 logit
-            assert parameter_count(cfg) == total
+            assert sum(int(np.prod(shape)) for _, shape, _
+                       in parameter_specs(cfg)) == total
 
     def test_count_matches_init(self):
         cfg = ModelConfig.tiny()
         params = init_parameters(cfg, 0)
-        assert sum(p.size for p in params.values()) == parameter_count(cfg)
+        assert sum(p.size for p in params.values()) == \
+            sum(int(np.prod(shape)) for _, shape, _ in parameter_specs(cfg))
         assert set(params) == {path for path, _, _ in parameter_specs(cfg)}
 
 

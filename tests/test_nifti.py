@@ -111,20 +111,31 @@ class TestReadNifti:
         ("scl_inter", 116, np.nan, [1, 2, 3, 4]),
         ("non-finite", 112, 1e30, [1, 2, 3e30, 4]),  # scaling overflows
         ("non-finite", 112, 0.0, [1, np.nan, 3, 4]),
+        # a tuple replaces the int16 dim array
+        ("dim[4]=2", 40, (4, 2, 2, 1, 2, 1, 1, 1), [1, 2, 3, 4]),
+        ("extent", 40, (3, 2, 0, 1, 1, 1, 1, 1), [1, 2, 3, 4]),
     ], ids=["offset-inf", "offset-nan", "offset-huge", "offset-negative",
             "offset-in-header", "spacing-nan", "spacing-inf", "spacing-zero",
-            "slope-inf", "inter-nan", "scaling-overflow", "nan-voxel"])
-    def test_damaged_header_fields_name_the_file(self, tmp_path, field, offset,
-                                                 value, data):
+            "slope-inf", "inter-nan", "scaling-overflow", "nan-voxel",
+            "four-dimensional", "zero-extent"])
+    def test_damaged_header_fields_name_the_file(self, tmp_path, capsys, field,
+                                                 offset, value, data):
         blob = bytearray(build_nifti_bytes(np.float32(data).reshape(2, 2, 1)))
-        struct.pack_into("<f", blob, offset, value)
+        if isinstance(value, tuple):
+            struct.pack_into("<8h", blob, offset, *value)
+        else:
+            struct.pack_into("<f", blob, offset, value)
         path = tmp_path / "damaged.nii"
         path.write_bytes(bytes(blob))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning either
             with pytest.raises(DataFormatError, match="damaged.nii") as exc:
                 read_nifti(path)
-        assert field in str(exc.value)
+            assert field in str(exc.value)
+            assert main(["augment", "--in", str(path), "--kind", "noise",
+                         "--out", str(tmp_path / "o.nii")]) == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {exc.value}"]
 
     @pytest.mark.parametrize("gz", ["", ".gz"])
     def test_hdr_img_pair_roundtrip(self, tmp_path, gz):
@@ -243,9 +254,14 @@ class TestDamagedGzip:
         assert len(err) == 1 and str(path) in err[0], err
         assert not (tmp_path / "o.nii").exists()
 
-    def test_intact_stream_reads_back(self, tmp_path):
+    # bytes after the voxels are read to the end of the stream and ignored
+    @pytest.mark.parametrize("tail", [b"", b"\x00" * 7], ids=["exact", "tail"])
+    def test_intact_stream_reads_back(self, tmp_path, tail):
         path = tmp_path / "v.nii.gz"
         write_nifti(small_volume(), path)
+        if tail:
+            path.write_bytes(gzip.compress(gzip.decompress(path.read_bytes())
+                                           + tail))
         np.testing.assert_array_equal(read_nifti(path).data,
                                       small_volume().data)
 
@@ -501,6 +517,11 @@ class TestUnpreprocess:
         back = unpreprocess_mask(pre, (300, 280))
         assert back.shape == (300, 280)
         assert back[:22].sum() == 0 and back[278:].sum() == 0
+
+    @pytest.mark.parametrize("shape", [(256, 255), (256, 256, 1)])
+    def test_non_square_mask_rejected(self, shape):
+        with pytest.raises(ValidationError, match="square preprocessed mask"):
+            unpreprocess_mask(np.zeros(shape, np.float32), (200, 180))
 
     def test_checkerboard_volume_reassembly_no_offset(self):
         xs, ys = np.meshgrid(np.arange(100), np.arange(90), indexing="ij")

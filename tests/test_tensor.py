@@ -108,7 +108,7 @@ class TestMatmul:
         with FlopCounter() as counter:
             out = T.matmul(w, x, bias=c)
         assert counter.flops == 2 * 2 * 3 * 4 * 5
-        assert out._op == "matmul" and out._parents == (w._node, x._node, c._node)
+        assert out._node.parents == (w._node, x._node, c._node)
 
     def test_bias_of_wrong_shape_rejected(self):
         with pytest.raises(ShapeError, match=r"bias must have shape \(3,\)"):
@@ -678,13 +678,13 @@ class TestBackward:
         loss = (a * b).sum()   # 4x^2 + 2x
         loss.backward()
         np.testing.assert_allclose(x.grad, 8.0 * x.data + 2.0, rtol=1e-15)
-        assert a.grad is None and a._parents == ()  # consumed and released
+        assert a.grad is None and a._node.parents == ()  # consumed and released
 
     def test_no_grad_builds_no_graph(self, rng):
         x = Tensor(rng.standard_normal(3), dtype=np.float64, requires_grad=True)
         with T.no_grad():
             y = x * 2.0
-        assert y._parents == () and not y.requires_grad
+        assert y._node.parents == () and not y.requires_grad
 
     def test_chained_ops_gradient(self, rng):
         def f(x):
@@ -729,6 +729,59 @@ class TestBackward:
             return x.grad
         np.testing.assert_array_equal(input_grad(1.05), 1.05 * input_grad(1.0))
         assert not np.array_equal(input_grad(1.05), input_grad(1.0))
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape), dtype=np.float64)
+
+
+class TestContract:
+    """Misuse raises the documented error with a message naming the problem."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: _zeros(2, 2).item(), UsageError, "non-scalar"),
+        (lambda: (Tensor(np.zeros((2, 2)), requires_grad=True) * 2.0)
+         .backward(np.ones(3)), ShapeError, "seed shape"),
+        (lambda: _zeros(2, 3) + _zeros(4), ShapeError, "do not broadcast"),
+        (lambda: T.matmul(_zeros(3), _zeros(3, 2)), ShapeError, ">=2D"),
+        (lambda: T.conv2d(_zeros(1, 4, 4), _zeros(1, 1, 3, 3)), ShapeError,
+         "4D"),
+        (lambda: T.conv2d(_zeros(1, 3, 4, 4), _zeros(4, 1, 1, 1), groups=2),
+         ShapeError, "divisible by groups"),
+        (lambda: T.layer_norm(_zeros(2, 3), _zeros(3), _zeros(3), axis=2),
+         ShapeError, "axis 2 out of bounds"),
+        (lambda: T.layer_norm(_zeros(2, 3), _zeros(2), _zeros(3)), ShapeError,
+         r"gamma/beta must have shape \(3,\)"),
+        (lambda: T.resize_bilinear(_zeros(1, 4, 4), 2, 2), ShapeError,
+         r"\[B,C,H,W\]"),
+        # numpy's own error, which the command line maps to exit 1 too
+        (lambda: T.concat([]), ValueError, "at least one array"),
+    ], ids=["item-non-scalar", "backward-seed-shape", "no-broadcast",
+            "matmul-1d", "conv2d-3d", "conv2d-groups", "layer-norm-axis",
+            "layer-norm-gamma", "resize-3d", "concat-empty"])
+    def test_misuse_raises_documented_error(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_repr_shows_shape_and_dtype(self):
+        assert repr(_zeros(2, 3)) == "Tensor(shape=(2, 3), dtype=float64)"
+
+    @pytest.mark.parametrize("operator,function", [
+        (lambda a, b: 2.0 / a, lambda a, b: Tensor(2.0) / a),
+        (lambda a, b: a @ b, T.matmul),
+    ], ids=["rtruediv", "matmul"])
+    def test_operator_equals_its_function(self, rng, operator, function):
+        a0 = np.abs(rng.standard_normal((3, 4))) + 1.0
+        b0 = rng.standard_normal((4, 2))
+        results = []
+        for f in (operator, function):
+            a = Tensor(a0, requires_grad=True)
+            b = Tensor(b0, requires_grad=True)
+            out = f(a, b)
+            out.sum().backward()
+            results.append((out.data, a.grad, b.grad))
+        for got, want in zip(*results):
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 class TestNumerics:

@@ -1,6 +1,8 @@
 """Trainer: splits, Adam oracle, scheduler contract, loops, reproducibility."""
 
 import csv
+import io
+import os
 import subprocess
 import sys
 import threading
@@ -315,6 +317,22 @@ class TestTrainLoop:
         assert rows[0] == ["epoch", "train_loss", "val_loss", "lr", "wall_time"]
         assert [r[0] for r in rows[1:]] == ["2"]
 
+    def test_resume_that_never_improves_still_writes_best(self, dataset,
+                                                          tmp_path):
+        # no epoch of the resumed run beats the saved best, so best.ckpt of
+        # the fresh directory is written from the final parameters
+        tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4)
+        res = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "a")
+        state_path = res.last_checkpoint + ".state"
+        params, state = load_train_state(state_path, ModelConfig.tiny())
+        state.best_val = -1.0
+        save_train_state(state_path, state, params, ModelConfig.tiny())
+        res2 = train(tcfg, ModelConfig.tiny(), dataset, tmp_path / "b",
+                     resume=res.last_checkpoint)
+        assert (tmp_path / "b" / "best.ckpt").read_bytes() == \
+            (tmp_path / "b" / "last.ckpt").read_bytes()
+        assert res2.best_checkpoint == str(tmp_path / "b" / "best.ckpt")
+
     def test_checkpoints_record_the_training_scope(self, dataset, tmp_path):
         from wmhseg.model import load_checkpoint
         tcfg = TrainConfig(lr=1e-3, batch_size=8, epochs=1, seed=4,
@@ -398,6 +416,9 @@ class TestTrainStatePersistence:
         broken = [blob[:n] for n in (3, 10, 20, 12 + meta_len + 2,
                                      len(blob) // 2, len(blob) - 1)]
         broken += [blob + b"\x00", bytes(bad_json)]
+        # valid JSON, but not an object
+        broken += [blob[:8] + len(text).to_bytes(4, "little") + text
+                   + blob[12 + meta_len:] for text in (b"[]", b"5")]
         for i, data in enumerate(broken):
             bad = tmp_path / f"bad{i}.state"
             bad.write_bytes(data)
@@ -662,6 +683,35 @@ class TestThreadKnob:
         assert self.probe("2")[0] == "2"
 
 
+MAPS_WITH_MISSING_OPENBLAS = \
+    "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /nonexistent/libopenblas.so\n"
+
+
+class TestBlasFallbacks:
+    @pytest.mark.parametrize("maps", [None, MAPS_WITH_MISSING_OPENBLAS],
+                             ids=["maps-unreadable", "library-unloadable"])
+    def test_no_thread_control_runs_the_pool_at_budget_one(self, monkeypatch,
+                                                           maps):
+        def open_maps(path, *args, **kwargs):
+            assert path == "/proc/self/maps"
+            if maps is None:
+                raise PermissionError(13, "Permission denied", path)
+            return io.StringIO(maps)
+        monkeypatch.setattr(blas, "open", open_maps, raising=False)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 4)
+        assert blas._controls() == []
+        idents = set()
+        blas.run_parallel(lambda k: idents.add(threading.get_ident()), 8)
+        assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("count,usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity_is_the_cpu_count(self, monkeypatch,
+                                                           count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert blas.usable_cpus() == usable
+
+
 class TestSliceParallelInference:
     @staticmethod
     def volume(side, slices, seed=0):
@@ -801,7 +851,7 @@ class TestDataParallelStep:
         loss.backward()
         want = {k: p.grad for k, p in params.items()}
         for p in params.values():
-            p.zero_grad()
+            p.grad = None
 
         force_budget(budget)
         steps = _capture_grads(monkeypatch)
@@ -888,7 +938,7 @@ class TestDataParallelStep:
 
         def forward(image, params, cfg):
             p = inner(image, params, cfg)
-            log.append((p.requires_grad, p._parents))
+            log.append((p.requires_grad, p._node.parents))
             return p
         monkeypatch.setattr(training, "model_forward", forward)
         got = training._epoch_pass(params, cfg, x, y, np.arange(5), np.arange(5),

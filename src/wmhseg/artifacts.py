@@ -8,7 +8,7 @@ bias followed by noise.
 
 Models:
   * noise      - additive Gaussian, sigma = noise_std * intensity range,
-                 clipped to >= 0
+                 clipped to >= 0 at every sigma, 0 included
   * bias       - multiplicative exp(P(x,y,z)) with P a random polynomial of
                  total degree <= bias_order over coordinates in [-1,1]
                  (positivity guaranteed by the exponential)
@@ -169,8 +169,6 @@ def add_noise(vol: Volume, spec: ArtifactSpec) -> Volume:
     full-volume float64 array is made.
     """
     data = vol.data
-    if spec.noise_std == 0.0:
-        return vol.with_data(data.copy())
     sigma = spec.noise_std * float(data.max() - data.min())
     rng = np.random.default_rng(derive_seed(spec.seed, 1))
     out = np.empty_like(data)

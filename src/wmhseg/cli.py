@@ -1,11 +1,12 @@
 """Command line entry point: phantom, augment, train, segment, evaluate.
 
 Flag precedence: explicit CLI flags override config-file values, which
-override built-in defaults; the effective configuration is echoed verbatim
-before work starts. Exit codes: 0 success, 1 usage/config error, 2 data or
-format error, 3 numerical failure, 4 out of memory, 130 interrupted
-(SIGINT). Commands run with numpy's floating-point warnings off: tensor ops
-raise ``NumericsError`` (exit 3) on a non-finite result and volumes reject
+override built-in defaults. Every value is checked (one from the file names
+its file and line) before the effective configuration is echoed verbatim and
+work starts. Exit codes: 0 success, 1 usage/config error, 2 data or format
+error, 3 numerical failure, 4 out of memory, 130 interrupted (SIGINT).
+Commands run with numpy's floating-point warnings off: tensor ops raise
+``NumericsError`` (exit 3) on a non-finite result and volumes reject
 non-finite voxels (exit 2), so a diverging run prints one error line.
 
 Worker threads: ``OPENBLAS_NUM_THREADS``, set when the process starts, is
@@ -19,10 +20,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+
+from .errors import (ConfigError, DataFormatError, NumericsError, UsageError,
+                     ValidationError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,8 +38,7 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {message}; see {self.prog} -h", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -68,9 +71,8 @@ def _expected(default) -> str:
 
 
 def _read_config_file(path, defaults: dict) -> dict:
-    """key=value lines, each parsed as the type of the key's entry in
-    ``defaults``; a key not in ``defaults`` is an error."""
-    from .errors import ConfigError
+    """key -> (line, value) of the key=value lines, each value typed as the
+    key's entry in ``defaults``; a key not in ``defaults`` is an error."""
     from .fileio import read_key_values
     values = {}
     for key, (number, text) in read_key_values(path, ConfigError).items():
@@ -79,21 +81,28 @@ def _read_config_file(path, defaults: dict) -> dict:
             raise ConfigError(f"{where}: unknown key {key!r}; known keys: "
                               f"{', '.join(sorted(defaults))}")
         try:
-            values[key] = _parse_value(text, defaults[key])
+            values[key] = number, _parse_value(text, defaults[key])
         except ValueError:
             raise ConfigError(f"{where}: cannot parse {key}={text!r}: "
                               f"expected {_expected(defaults[key])}") from None
     return values
 
 
-def _effective(defaults: dict, config_path, flag_values: dict) -> dict:
-    """Defaults, then the config file's keys (those of ``defaults``, typed by
-    their default), then the flags that were given."""
-    merged = dict(defaults)
-    if config_path:
-        merged.update(_read_config_file(config_path, defaults))
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return merged
+def _effective(defaults: dict, config_path, flag_values: dict, build):
+    """The merged settings (defaults, then the config file's keys, typed by
+    their default, then the flags that were given) and ``build(merged)``,
+    the command's config objects, made before the echo so that every check
+    runs first. A ``ConfigError`` about a key the file set names its line."""
+    in_file = _read_config_file(config_path, defaults) if config_path else {}
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    merged = {**defaults, **{k: v for k, (_, v) in in_file.items()}, **flags}
+    try:
+        return merged, build(merged)
+    except ConfigError as exc:
+        if exc.key not in in_file or exc.key in flags:
+            raise
+        raise ConfigError(f"{config_path}, line {in_file[exc.key][0]}: {exc}",
+                          exc.key) from None
 
 
 def _echo(command: str, cfg: dict) -> None:
@@ -107,11 +116,14 @@ def _echo(command: str, cfg: dict) -> None:
 def cmd_phantom(args) -> int:
     from .phantom import PhantomConfig, generate_dataset
     phantom_defaults = asdict(PhantomConfig())
-    defaults = dict(phantom_defaults, n=10)
-    cfg = _effective(defaults, args.config,
-                     {"n": args.n, "seed": args.seed, "size": args.size})
+
+    def build(cfg):
+        if cfg["n"] < 1:
+            raise ConfigError(f"n must be >= 1, got {cfg['n']}", "n")
+        return PhantomConfig(**{k: cfg[k] for k in phantom_defaults})
+    cfg, pc = _effective(dict(phantom_defaults, n=10), args.config,
+                         dict(n=args.n, seed=args.seed, size=args.size), build)
     _echo("phantom", cfg)
-    pc = PhantomConfig(**{k: cfg[k] for k in phantom_defaults})
     entries = generate_dataset(cfg["n"], cfg["seed"], args.out, config=pc)
     print(f"wrote {len(entries)} manifest rows to "
           f"{Path(args.out) / 'manifest.csv'}")
@@ -119,17 +131,11 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    from .artifacts import (KINDS, apply_artifact, read_sidecar, sample_spec,
+    from .artifacts import (apply_artifact, read_sidecar, sample_spec,
                             write_sidecar)
     from .nifti import read_nifti, write_nifti
-    if args.replay:
-        spec = read_sidecar(args.replay)
-    else:
-        if args.kind not in KINDS:
-            print(f"error: invalid kind '{args.kind}'; valid kinds: "
-                  f"{', '.join(KINDS)}", file=sys.stderr)
-            return EXIT_USAGE
-        spec = sample_spec(args.kind, args.seed)
+    spec = read_sidecar(args.replay) if args.replay \
+        else sample_spec(args.kind, args.seed)
     _echo("augment", {"kind": spec.kind, "seed": spec.seed,
                       "in": args.in_path, "out": args.out})
     vol = read_nifti(args.in_path)
@@ -143,21 +149,27 @@ def cmd_train(args) -> int:
     from .model import ModelConfig
     from .training import TrainConfig, train
     train_defaults = asdict(TrainConfig())
-    defaults = dict(train_defaults, model="default")
+    presets = {"default": ModelConfig, "reduced": ModelConfig.reduced,
+               "tiny": ModelConfig.tiny}
+
+    def build(cfg):
+        train_cfg = TrainConfig(**{k: cfg[k] for k in train_defaults})
+        if cfg["model"] not in presets:
+            raise ConfigError(f"unknown model preset {cfg['model']!r}; "
+                              f"presets: {', '.join(presets)}", "model")
+        # the model config that the run saves, so its scope is checked too
+        return train_cfg, replace(presets[cfg["model"]](), normalization_scope=
+                                  train_cfg.normalization_scope)
     flags = {"lr": args.lr, "batch_size": args.batch_size,
              "epochs": args.epochs, "seed": args.seed,
              "split_ratio": args.split_ratio, "model": args.model,
              "include_artifacts": False if args.no_artifacts else None}
-    cfg = _effective(defaults, args.config, flags)
+    cfg, (train_cfg, model_cfg) = _effective(
+        dict(train_defaults, model="default"), args.config, flags, build)
     _echo("train", cfg)
-    train_cfg = TrainConfig(**{k: cfg[k] for k in train_defaults})
-    presets = {"default": ModelConfig, "reduced": ModelConfig.reduced,
-               "tiny": ModelConfig.tiny}
-    if cfg["model"] not in presets:
-        raise ValueError(f"unknown model preset '{cfg['model']}'")
     try:
-        result = train(train_cfg, presets[cfg["model"]](), args.manifest,
-                       args.out, resume=args.resume)
+        result = train(train_cfg, model_cfg, args.manifest, args.out,
+                       resume=args.resume)
     except MemoryError as exc:
         raise MemoryError(f"batch size {train_cfg.batch_size}"
                           + (f" ({exc})" if str(exc) else "")
@@ -193,11 +205,11 @@ def cmd_evaluate(args) -> int:
     default = TrainConfig()
     ratio = default.split_ratio if args.split_ratio is None else args.split_ratio
     seed = default.seed if args.split_seed is None else args.split_seed
+    # checked whatever the split, so a bad value never passes unnoticed
+    check_split_ratio(ratio)
     _echo("evaluate", {"checkpoint": args.checkpoint, "manifest": args.manifest,
                        "out": args.out, "split": args.split,
                        "split_seed": seed, "split_ratio": ratio})
-    # checked whatever the split, so a bad value never passes unnoticed
-    check_split_ratio(ratio)
     entries = read_manifest(args.manifest)
     if args.split != "all":
         train_src, test_src = split_dataset(entries, ratio, seed)
@@ -218,6 +230,7 @@ def cmd_evaluate(args) -> int:
 
 
 def build_parser() -> _Parser:
+    from .artifacts import KINDS
     parser = _Parser(prog="wmhseg",
                      description="White matter hyperintensity segmentation "
                                  "pipeline: phantoms, artifacts, training, "
@@ -235,10 +248,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("augment", help="apply one artifact to a volume")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--kind", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--kind", choices=KINDS)
+    source.add_argument("--replay",
+                        help="reproduce a corruption from its sidecar spec")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replay", default=None,
-                   help="reproduce a corruption from its sidecar spec")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
@@ -250,8 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--split-ratio", type=float, default=None)
-    p.add_argument("--model", choices=("default", "reduced", "tiny"),
-                   default=None)
+    p.add_argument("--model", default=None)
     p.add_argument("--no-artifacts", action="store_true",
                    help="train on clean scans only (augmentation ablation)")
     p.add_argument("--resume", default=None, metavar="CKPT",
@@ -299,8 +312,6 @@ def main(argv=None) -> int:
               + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_MEMORY
     except Exception as exc:  # map package errors onto documented exit codes
-        from .errors import (ConfigError, DataFormatError, NumericsError,
-                             UsageError, ValidationError)
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ConfigError, UsageError, ValueError)) \
                 and not isinstance(exc, (DataFormatError, ValidationError)):

@@ -14,7 +14,12 @@ class ShapeError(WmhsegError, ValueError):
 
 
 class ConfigError(WmhsegError, ValueError):
-    """A configuration value violates its documented constraints."""
+    """A configuration value violates its documented constraints; ``key``
+    names the setting that the check is about, if it is about one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ValidationError(WmhsegError, ValueError):

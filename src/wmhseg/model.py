@@ -75,7 +75,8 @@ class ModelConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.normalization_scope not in ("slice", "volume"):
             raise ConfigError("normalization_scope must be slice|volume, got "
-                              f"{self.normalization_scope!r}")
+                              f"{self.normalization_scope!r}",
+                              "normalization_scope")
         stages = (self.stage_channels, self.stage_depths, self.num_heads)
         # the preprocessing makes square slices
         if any(len(t) != 4 for t in stages) or len(self.input_size) != 2 \
@@ -249,8 +250,7 @@ def overlap_patch_embed(x: Tensor, params: dict[str, Tensor], config: ModelConfi
 
 
 def efficient_attention(tokens: Tensor, h: int, w: int, p: dict[str, Tensor],
-                        reduction: int, heads: int,
-                        return_weights: bool = False):
+                        reduction: int, heads: int) -> Tensor:
     """Multi-head attention whose key/value sequence is shortened by ``reduction``.
 
     ``tokens`` are [B,C,N]. Queries keep length N = h*w. For reduction > 1
@@ -258,8 +258,7 @@ def efficient_attention(tokens: Tensor, h: int, w: int, p: dict[str, Tensor],
     features are flattened in (row, column, channel) order to one vector of
     size R*C, projected back to C and layer-normalized; keys and values are
     computed from that shortened sequence of length M. Heads split along C;
-    the scores are laid out [B,heads,M,N] and normalized over M. With
-    ``return_weights`` the weights come back as a [B,heads,N,M] view.
+    the scores are laid out [B,heads,M,N] and normalized over M.
     """
     b, c, n = tokens.shape
     if n != h * w:
@@ -290,8 +289,7 @@ def efficient_attention(tokens: Tensor, h: int, w: int, p: dict[str, Tensor],
     vh = val.reshape(b, heads, d, m)
     weights = T.softmax(T.matmul(kh, qh), axis=-2, scale=1.0 / math.sqrt(d))
     ctx = T.matmul(vh, weights).reshape(b, c, n)
-    out = _project(ctx, p["out_weight"], p["out_bias"])
-    return (out, weights.transpose(0, 1, 3, 2)) if return_weights else out
+    return _project(ctx, p["out_weight"], p["out_bias"])
 
 
 def mix_ffn(tokens: Tensor, h: int, w: int, p: dict[str, Tensor]) -> Tensor:

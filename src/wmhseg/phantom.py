@@ -76,7 +76,7 @@ class PhantomConfig:
                  f"lo >= half the smallest spacing ({half:g})", r_lo >= half)):
             if not ok:
                 raise ConfigError(f"phantom {key} must be {rule}, got "
-                                  f"{getattr(self, key)}")
+                                  f"{getattr(self, key)}", key)
 
 
 _MANIFEST_COLUMNS = ("path", "role", "seed", "source_id")

@@ -82,15 +82,15 @@ class TrainConfig:
     normalization_scope: str = "slice"  # copied into the saved ModelConfig
 
     def __post_init__(self):
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.plateau_patience < 0:
-            raise ConfigError("plateau_patience must be >= 0, got "
-                              f"{self.plateau_patience}")
+        for key, rule, ok in (
+                ("lr", "finite and > 0", 0.0 < self.lr < math.inf),
+                ("epochs", ">= 1", self.epochs >= 1),
+                ("batch_size", ">= 1", self.batch_size >= 1),
+                ("plateau_patience", ">= 0", self.plateau_patience >= 0)):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got "
+                                  f"{getattr(self, key)}", key)
+        check_split_ratio(self.split_ratio)
 
 
 @dataclass
@@ -110,7 +110,8 @@ class TrainState:
 
 def check_split_ratio(ratio: float) -> None:
     if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split_ratio must be in (0,1), got {ratio}")
+        raise ConfigError(f"split_ratio must be in (0,1), got {ratio}",
+                          "split_ratio")
 
 
 def split_dataset(entries: Sequence[ManifestEntry], ratio: float,

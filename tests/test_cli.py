@@ -117,8 +117,13 @@ class TestPhantomCommand:
                      "--out", str(target)]) == EXIT_OK
         assert (target / "manifest.csv").exists()
 
-    def test_flag_overrides_config_file(self, tmp_path, cfg_file, capsys):
-        assert main(["phantom", "-n", "1", "--seed", "3", "--config", cfg_file,
+    # a flag replaces the file's value before it is checked, so a bad one
+    # in the file goes unseen
+    @pytest.mark.parametrize("file_size", ["48,48,4", "0,0,0"])
+    def test_flag_overrides_config_file(self, tmp_path, capsys, file_size):
+        cfg = tmp_path / "phantom.cfg"
+        cfg.write_text(PHANTOM_CFG.replace("48,48,4", file_size))
+        assert main(["phantom", "-n", "1", "--seed", "3", "--config", str(cfg),
                      "--size", "64,64,4", "--out", str(tmp_path / "o")]) \
             == EXIT_OK
         echoed = capsys.readouterr().out
@@ -148,8 +153,21 @@ class TestPhantomCommand:
         code = main(["phantom", "-n", "1", "--seed", "3", "--config", str(cfg),
                      "--size", size, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        lines = capsys.readouterr().err.strip().splitlines()
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and key in lines[0], lines
+        # a value from the file names the file and line, a flag's does not
+        assert (f"{cfg}, line 1: " in lines[0]) == (key != "size"), lines
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_count_usage_error(self, tmp_path, capsys):
+        code = main(["phantom", "-n", "0", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == \
+            ["error: n must be >= 1, got 0"]
+        assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
 
@@ -169,6 +187,21 @@ class TestAugmentCommand:
         err = capsys.readouterr().err
         for kind in ("noise", "bias", "ghosting", "noise_bias"):
             assert kind in err
+
+    @pytest.mark.parametrize("source", [[], ["--kind", "noise", "--replay",
+                                             "s.spec"]],
+                             ids=["neither", "both"])
+    def test_kind_or_replay_exactly_one(self, dataset, tmp_path, capsys,
+                                        source):
+        out = tmp_path / "x.nii"
+        code = main(["augment", "--in", str(dataset / "phantom000.nii"),
+                     *source, "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "--replay" in lines[0], lines
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_sidecar_replay_reproduces_bitwise(self, dataset, tmp_path):
         src = dataset / "phantom001.nii"
@@ -279,8 +312,10 @@ class TestTrainCommand:
         code = main(["train", "--manifest", str(dataset / "manifest.csv"),
                      "--out", str(tmp_path), "--model", "tiny", flag, "0"])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.strip().splitlines() == \
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == \
             [f"error: {name} must be >= 1, got 0"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_rejected(self, dataset, tmp_path, capsys, lr):
@@ -288,8 +323,10 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o"), "--model", "tiny",
                      "--lr", lr])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.strip().splitlines() == \
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == \
             [f"error: lr must be finite and > 0, got {lr}"]
+        assert captured.out == ""
 
     def test_negative_plateau_patience_rejected(self, dataset, tmp_path,
                                                 capsys):
@@ -300,7 +337,7 @@ class TestTrainCommand:
                      "--epochs", "1", "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.strip().splitlines() == \
-            ["error: plateau_patience must be >= 0, got -3"]
+            [f"error: {cfg}, line 1: plateau_patience must be >= 0, got -3"]
         assert not (tmp_path / "o").exists()
 
     def test_resume_continues_numbering(self, dataset, tmp_path):
@@ -1004,7 +1041,8 @@ class TestUsage:
                      "--out", str(out), "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.strip().splitlines() == \
-            ["error: unknown model preset 'huge'"]
+            [f"error: {cfg}, line 1: unknown model preset 'huge'; presets: "
+             "default, reduced, tiny"]
         assert not out.exists()
 
     def test_closed_stdout_exits_zero(self, tmp_path, monkeypatch):
@@ -1033,16 +1071,20 @@ class TestUsage:
     @pytest.mark.parametrize("ratio", ["inf", "nan", "5", "-1", "0", "1"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_split_ratio_outside_open_unit_interval(
-            self, dataset, checkpoint, tmp_path, capsys, command, ratio):
+            self, checkpoint, tmp_path, capsys, command, ratio):
+        # the ratio is checked before the manifest is read, so a missing
+        # manifest does not hide it
         out = tmp_path / "out"
-        args = ["--manifest", str(dataset / "manifest.csv"), "--out", str(out),
-                "--split-ratio", ratio]
+        args = ["--manifest", str(tmp_path / "missing" / "manifest.csv"),
+                "--out", str(out), "--split-ratio", ratio]
         args += ["--model", "tiny", "--epochs", "1"] if command == "train" \
             else ["--checkpoint", str(checkpoint), "--split", "test"]
         code = main([command] + args)
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.strip().splitlines() == \
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == \
             [f"error: split_ratio must be in (0,1), got {float(ratio)}"]
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -1055,8 +1097,10 @@ class TestUsage:
                      "--out", str(out), "--split", split,
                      "--split-ratio", "5"])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.strip().splitlines() == \
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == \
             ["error: split_ratio must be in (0,1), got 5.0"]
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -1084,11 +1128,25 @@ class TestConfigFile:
         # the architecture is chosen with --model alone
         ("train", b"stage_channels=8,8,8,8\n", ("line 1", "'stage_channels'")),
         ("phantom", b"n=1\nn=2\n", ("line 2", "repeated key 'n'")),
+        # values that parse but that a check of the command rejects
+        ("train", b"lr=-1\n", ("line 1", "lr must be finite and > 0")),
+        ("train", b"epochs=0\n", ("line 1", "epochs must be >= 1")),
+        ("train", b"plateau_patience=-3\n",
+         ("line 1", "plateau_patience must be >= 0")),
+        ("train", b"epochs=1\nsplit_ratio=1.5\n",
+         ("line 2", "split_ratio must be in (0,1)")),
+        ("train", b"normalization_scope=patient\n",
+         ("line 1", "normalization_scope must be slice|volume")),
+        ("train", b"model=huge\n", ("line 1", "unknown model preset 'huge'")),
+        ("phantom", b"size=0,0,0\n", ("line 1", "phantom size must be")),
+        ("phantom", b"# none\nn=0\n", ("line 2", "n must be >= 1")),
     ], ids=["train-typo", "train-removed-key", "no-equals", "undecodable",
             "phantom-typo", "unparsable", "int-key", "float-key", "float-nan", "tuple-key",
             "tuple-length", "bool-key", "train-fixed-adam-key",
             "phantom-fixed-intensity-key", "train-architecture-key",
-            "repeated-key"])
+            "repeated-key", "negative-lr", "zero-epochs",
+            "negative-patience", "split-ratio", "unknown-scope",
+            "unknown-model", "zero-size", "zero-n"])
     def test_bad_config_usage_error(self, dataset, tmp_path, capsys, command,
                                     text, needles):
         cfg = tmp_path / "run.cfg"
@@ -1096,8 +1154,9 @@ class TestConfigFile:
         out = tmp_path / "out"
         args = ["--out", str(out), "--config", str(cfg)]
         if command == "train":
-            args += ["--manifest", str(dataset / "manifest.csv"),
-                     "--model", "tiny"]
+            args += ["--manifest", str(dataset / "manifest.csv")]
+            if not text.startswith(b"model="):
+                args += ["--model", "tiny"]
         code = main([command] + args)
         assert code == EXIT_USAGE
         captured = capsys.readouterr()

@@ -107,6 +107,22 @@ def cf(tokens):
     return np.ascontiguousarray(np.swapaxes(tokens, 1, 2))
 
 
+def attention_with_weights(monkeypatch, *args):
+    """``efficient_attention(*args)`` and the weights that its softmax made,
+    [B,heads,M,N] (keys by queries)."""
+    made = []
+    softmax = T.softmax
+
+    def recording_softmax(*a, **k):
+        made.append(softmax(*a, **k))
+        return made[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "softmax", recording_softmax)
+        out = efficient_attention(*args)
+    (weights,) = made
+    return out, weights
+
+
 class TestModelConfig:
     def test_defaults_valid(self):
         cfg = ModelConfig()
@@ -127,8 +143,9 @@ class TestModelConfig:
         assert ModelConfig().normalization_scope == "slice"
         assert ModelConfig(normalization_scope="volume").normalization_scope \
             == "volume"
-        with pytest.raises(ConfigError, match="slice|volume"):
+        with pytest.raises(ConfigError, match="slice|volume") as exc:
             ModelConfig(normalization_scope="patient")
+        assert exc.value.key == "normalization_scope"
 
     @pytest.mark.parametrize("field,value", [
         ("num_heads", (1, 0, 4, 8)), ("stage_depths", (1, 1, 1)),
@@ -193,21 +210,20 @@ class TestEfficientAttention:
         want = reduced_attention_oracle(tokens, h, w, p, reduction, heads)
         assert np.abs(cf(got.data) - want).max() < 1e-12
 
-    def test_kv_length_is_n_over_r(self, rng):
+    def test_kv_length_is_n_over_r(self, rng, monkeypatch):
         n, c, r = 4096, 16, 64
         tokens = Tensor(cf(rng.standard_normal((1, n, c)).astype(np.float32)))
         p = attn_params(c, r, 1, rng, dtype=np.float32)
-        _, weights = efficient_attention(tokens, 64, 64, p, r, 1,
-                                         return_weights=True)
-        assert weights.shape == (1, 1, n, n // r)
-        assert weights.shape[-1] == 64
+        _, weights = attention_with_weights(monkeypatch, tokens, 64, 64, p, r, 1)
+        assert weights.shape == (1, 1, n // r, n)
+        assert weights.shape[-2] == 64
 
-    def test_single_token_weight_exactly_one(self, rng):
+    def test_single_token_weight_exactly_one(self, rng, monkeypatch):
         c = 8
         tokens = Tensor(rng.standard_normal((1, 1, c)).astype(np.float32))
         p = attn_params(c, 1, 2, rng, dtype=np.float32)
-        out, weights = efficient_attention(Tensor(cf(tokens.data)), 1, 1, p, 1, 2,
-                                           return_weights=True)
+        out, weights = attention_with_weights(
+            monkeypatch, Tensor(cf(tokens.data)), 1, 1, p, 1, 2)
         np.testing.assert_array_equal(weights.data,
                                       np.ones_like(weights.data))
         # output is the out-projection of the value projection of the token
@@ -215,7 +231,8 @@ class TestEfficientAttention:
         want = v @ p["out_weight"].data + p["out_bias"].data
         np.testing.assert_allclose(cf(out.data), want, atol=1e-6)
 
-    def test_weight_rows_sum_to_one_every_stage_and_head(self, rng):
+    def test_weight_rows_sum_to_one_every_stage_and_head(self, rng,
+                                                         monkeypatch):
         cfg = ModelConfig()
         params = init_parameters(cfg, 5)
         for i in range(4):
@@ -224,10 +241,10 @@ class TestEfficientAttention:
             tokens = Tensor(cf(rng.standard_normal((2, h * w, c))
                                .astype(np.float32)))
             p = subparams(params, f"stage{i + 1}.block0.attn")
-            _, wts = efficient_attention(tokens, h, w, p,
-                                         REDUCTION_FACTORS[i],
-                                         cfg.num_heads[i], return_weights=True)
-            sums = wts.data.sum(axis=-1)
+            _, wts = attention_with_weights(monkeypatch, tokens, h, w, p,
+                                            REDUCTION_FACTORS[i],
+                                            cfg.num_heads[i])
+            sums = wts.data.sum(axis=-2)  # over the keys of each query
             assert np.abs(sums - 1.0).max() < 1e-6
             assert wts.shape[1] == cfg.num_heads[i]
 

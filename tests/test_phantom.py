@@ -96,8 +96,9 @@ class TestPhantomConfig:
         ("lesion_radius_mm", (0.002, 0.004)),
     ])
     def test_out_of_range_rejected_naming_key(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=key) as exc:
             replace(SMALL, **{key: value})
+        assert exc.value.key == key
 
     def test_lower_radius_bound_is_half_the_finest_spacing(self):
         with pytest.raises(ConfigError, match=r"lesion_radius_mm must be lo >= "

@@ -85,8 +85,10 @@ class TestSplitDataset:
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, -1.0, 5.0, np.inf, np.nan])
     def test_ratio_outside_open_unit_interval_rejected(self, ratio):
-        with pytest.raises(ConfigError, match=f"split_ratio .* got {ratio}"):
+        with pytest.raises(ConfigError, match=f"split_ratio .* got {ratio}") \
+                as exc:
             split_dataset(synthetic_manifest(10), ratio, 0)
+        assert exc.value.key == "split_ratio"
 
 
 class TestAdamStep:
@@ -217,11 +219,16 @@ class TestPlateauScheduler:
 
 
 class TestTrainConfig:
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(lr=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
+    @pytest.mark.parametrize("key,value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", np.inf), ("lr", np.nan),
+        ("epochs", 0), ("batch_size", 0), ("plateau_patience", -1),
+        ("split_ratio", 0.0), ("split_ratio", 1.0), ("split_ratio", np.nan),
+    ])
+    def test_invalid_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be .* got {value}") \
+                as exc:
+            TrainConfig(**{key: value})
+        assert exc.value.key == key
 
 
 class TestTrainLoop:
